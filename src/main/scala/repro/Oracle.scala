@@ -17,20 +17,53 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** Floating-point values match when |a - b| <= max(AbsTol, RelTol * max(|a|, |b|)).
+    * Two engines may add the same doubles in different orders; recursive
+    * summation of n same-signed terms is off by at most (n - 1) * 2^-53 of
+    * the sum, so RelTol = 1e-11 covers reorderings of up to ~1e5 terms while
+    * a relative error of 1e-9 still fails. AbsTol covers values that cancel
+    * to about zero.
+    */
+  private val RelTol = 1e-11
+  private val AbsTol = 1e-12
+
+  /** Rows with columns in name order; floating-point cells as doubles,
+    * other non-NULL cells as text. Rows sort on their exact cells first, so
+    * two engines' doubles that differ within the tolerance cannot reorder
+    * rows that the exact cells tell apart. */
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Any]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case null                     => null
+          case d: Double                => d
+          case f: Float                 => f.toDouble
+          case bd: java.math.BigDecimal => bd.doubleValue
+          case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sortBy(r => (r.map { case _: Double => 0.0; case v => v }, r))(
+        Ordering.Tuple2(rowOrder, rowOrder))
+  }
+
+  /** NULL < number < text; numbers by value, text lexicographically. */
+  private val cellOrder: Ordering[Any] = (a: Any, b: Any) => (a, b) match {
+    case (x: Double, y: Double) => java.lang.Double.compare(x, y)
+    case (x: String, y: String) => x.compareTo(y)
+    case _ =>
+      def rank(v: Any) = v match { case null => 0; case _: Double => 1; case _ => 2 }
+      rank(a) - rank(b)
+  }
+
+  private val rowOrder = Ordering.Implicits.seqOrdering[Seq, Any](cellOrder)
+
+  private def close(a: Any, b: Any): Boolean = (a, b) match {
+    case (x: Double, y: Double) =>
+      x == y || (x.isNaN && y.isNaN) ||
+        math.abs(x - y) <= math.max(AbsTol, RelTol * math.max(math.abs(x), math.abs(y)))
+    case _ => a == b
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -67,10 +100,10 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+      val mismatched = got.zip(exp).filterNot { case (g, e) => g.corresponds(e)(close) }
+      require(got.size == exp.size && mismatched.isEmpty,
+        s"result mismatch (${got.size} vs ${exp.size} rows), first (spark, duckdb) " +
+        s"row pairs that differ: ${mismatched.take(3)}"
       )
     } finally conn.close()
   }

@@ -53,23 +53,10 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     val whereSql = if (conds.isEmpty) "" else s" WHERE ${conds.mkString(" AND ")}"
     val p = s"${sampledSrc.alias}.${SampleCatalog.ProbCol}"
 
-    def htAgg(c: AggCall): String = {
-      import AggFuncType._
-      c.func match {
-        case Count         => s"sum(1.0 / $p)"
-        case Sum           => s"sum((${c.argSql.get}) / $p)"
-        case Avg           => s"(sum((${c.argSql.get}) / $p) / sum(1.0 / $p))"
-        case VarSamp       =>
-          s"(sum((${c.argSql.get})*(${c.argSql.get}) / $p) / sum(1.0 / $p) - " +
-            s"power(sum((${c.argSql.get}) / $p) / sum(1.0 / $p), 2))"
-        case StddevSamp    =>
-          s"sqrt(sum((${c.argSql.get})*(${c.argSql.get}) / $p) / sum(1.0 / $p) - " +
-            s"power(sum((${c.argSql.get}) / $p) / sum(1.0 / $p), 2))"
-        case Percentile(qq) => s"percentile((${c.argSql.get}), $qq)"
-        case CountDistinct  => return s"count(DISTINCT (${c.argSql.get}))"
-        case Min | Max      => s"IMPOSSIBLE"
-      }
-    }
+    // one-level HT aggregates: each statistic over all rows, at scale 1;
+    // distinct counts stay unscaled, as no hashed sample is ever chosen
+    def htAgg(c: AggCall): String =
+      CellStats.estimate(c, CellStats.statSql(c, _, p), "1", distinctTau = None)
 
     val items = q.select.map { it =>
       if (it.expr.aggs.isEmpty) s"${it.expr.asInstanceOf[Raw].sqlText} AS ${it.alias}"

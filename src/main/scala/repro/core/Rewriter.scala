@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.core.Ast._
+import repro.core.CellStats.Stat
 import repro.core.SamplePlanner.{TableChoice, UseBase, UseSample}
 import repro.core.VariationalSubsampling._
 
@@ -9,22 +10,22 @@ import repro.core.VariationalSubsampling._
   * Given a supported query and a per-source table choice, emits a single
   * standard-SQL statement that the engine can execute to produce, per output
   * group, both the unbiased (Horvitz–Thompson) point estimate and the
-  * variational-subsampling error estimate. The rewritten query has the
-  * four-level shape of the paper's Query 9:
+  * variational-subsampling error estimate. Every statement is built on one
+  * cell table, the variational table of the paper's Query 9:
   *
   *  L1  per-source subqueries: the sample table, aliased by the original
   *      table name, augmented with a `vsid` subsample-id column
-  *  L2  GROUP BY (group-cols, combined-sid): per-subsample sufficient
-  *      statistics weighted by 1/sampling_prob, plus `vsub_size`
-  *  L3  window `sum(vsub_size) OVER (PARTITION BY group-cols)` giving the
-  *      group's total sample size n_g (needed to scale per-subsample
-  *      estimates of sums/counts to full-sample magnitude)
-  *  L4  GROUP BY (group-cols): point estimates from the summed statistics,
-  *      error = stddev(per-sid estimate) * sqrt(avg(sub_size)/sum(sub_size))
+  *  L2  GROUP BY (group-cols, combined-sid): one row per cell with its
+  *      sufficient statistics (`CellStats`) and its size `vsub_size`
+  *
+  * A flat query groups the cells again by the group columns: point
+  * estimates from the pooled statistics, error from the spread of the
+  * per-cell estimates (`VariationalSubsampling.errSql`).
   *
   * Joined variational tables get their sid reassigned via Theorem 4's
   * h(i, j), so a single join suffices (Section 5.1). Aggregate-in-FROM
-  * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2).
+  * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2) on the
+  * same cell table.
   */
 object Rewriter {
 
@@ -52,17 +53,19 @@ object Rewriter {
       }
     } catch { case Unsupported(r) => scala.Left(r) }
 
-  // ------------------------------------------------------------------ flat --
+  // ------------------------------------------------------------ cell table --
 
-  /** Internal per-aggregate naming of sufficient-statistic columns. */
-  private final case class AggSlots(j: Int, call: AggCall) {
-    def w   = s"a${j}_w";   def xw  = s"a${j}_xw"
-    def x2w = s"a${j}_x2w"; def pct = s"a${j}_pct"; def cd = s"a${j}_cd"
-  }
+  /** The L1/L2 cell table of a flat block. `col` names the cell-table
+    * column holding a statistic of an aggregate call.
+    */
+  private final case class Cells(sql: String, b: Int, distinctTau: Option[Double],
+                                 col: (AggCall, Stat) => String)
 
-  private def rewriteFlat(q: FlatQuery, choices: Map[String, TableChoice],
-                          seed: Long): Rewritten = {
-    if (q.hasExtreme) bail("extreme statistics must be decomposed before rewriting")
+  /** Renders the cell table of `q`. With `groupRows`, the L2 level also
+    * emits one row per group pooling all of its cells, with a NULL `vsid`.
+    */
+  private def cells(q: FlatQuery, choices: Map[String, TableChoice], seed: Long,
+                    groupRows: Boolean): Cells = {
     val sources = q.from.collect { case b: BaseTable => b }
     val sampled = sources.filter(s => choices(s.alias).sample.isDefined)
     if (sampled.isEmpty) bail("no sampled source in choice; run exact instead")
@@ -134,8 +137,29 @@ object Rewriter {
     val sidSql = sampled.map(s => s"${s.alias}.vsid")
       .reduceLeft((acc, next) => hExpr(acc, next, b))
 
-    buildEstimationSql(q, fromSql, probSql, sidSql, b, choices)
+    // --- L2: per-(group, sid) statistics -------------------------------------
+    val calls = q.allAggs.distinct
+    def col(c: AggCall, st: Stat) = s"a${calls.indexOf(c)}_${st.suffix}"
+    val statCols = calls.flatMap(c => CellStats.statsOf(c)
+      .map(st => s"${CellStats.statSql(c, st, probSql)} AS ${col(c, st)}"))
+    val groups = q.groupBy.map(_.sqlText)
+    val groupSelect = groups.zipWithIndex.map { case (g, i) => s"$g AS g_$i" }
+    val whereSql = q.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
+    val cellKey = (groups :+ sidSql).mkString(", ")
+    val groupBy =
+      if (groupRows) s"GROUPING SETS (($cellKey), (${groups.mkString(", ")}))" else cellKey
+    val sql =
+      s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size"
+        ).++(statCols).mkString(", ")} " +
+      s"FROM $fromSql$whereSql GROUP BY $groupBy"
+    Cells(sql, b, Some(distinctTau(choices)), col)
   }
+
+  /** Domain fraction tau for count-distinct: the hashed sample's parameter. */
+  private def distinctTau(choices: Map[String, TableChoice]): Double =
+    choices.values.collectFirst {
+      case UseSample(i) if i.sampleType == SampleType.Hashed => i.tau
+    }.getOrElse(1.0)
 
   /** Render `a JOIN b ON ... JOIN c ON ...`, attaching each equi-join
     * condition once both of its sides are in the tree; conditions spanning
@@ -161,253 +185,113 @@ object Rewriter {
     sql
   }
 
-  /** Levels L2–L4 shared by the flat path (and by the nested inner query). */
-  private def buildEstimationSql(q: FlatQuery, fromSql: String, probSql: String,
-                                 sidSql: String, b: Int,
-                                 choices: Map[String, TableChoice]): Rewritten = {
-    val slots = q.select.flatMap(_.expr.aggs).zipWithIndex.map { case (c, j) => AggSlots(j, c) }
-    val havingSlots = q.having.toSeq.flatMap(_.aggs).zipWithIndex
-      .map { case (c, j) => AggSlots(slots.size + j, c) }
-    val allSlots = slots ++ havingSlots
-    val slotOf: Map[AggCall, AggSlots] = {
-      // identical calls share a slot; first wins
-      allSlots.groupBy(_.call).map { case (c, ss) => c -> ss.head }
+  /** The select column of a plain (group) item: the alias `g_i` of the
+    * grouping expression it repeats. */
+  private def groupCol(q: FlatQuery, item: SelectItem): String = {
+    val gi = q.groupBy.indexWhere(_.sqlText == item.expr.asInstanceOf[Raw].sqlText)
+    if (gi < 0) bail(s"non-grouped plain select item: ${item.alias}")
+    s"g_$gi AS ${item.alias}"
+  }
+
+  /** The last level: one row per output group (`g_i` columns of `from`)
+    * with each aggregate item's point estimate and its error over the
+    * per-sid estimates, on the rows where `vsid` is not NULL.
+    */
+  private def outputLevel(q: FlatQuery, from: String, point: SelectItem => String,
+                          perSid: SelectItem => String, having: Option[String],
+                          b: Int): Rewritten = {
+    val cols = q.select.flatMap { item =>
+      if (item.expr.aggs.isEmpty) Seq(groupCol(q, item))
+      else Seq(s"${point(item)} AS ${item.alias}",
+        s"${errSql(perSid(item), "vsid")} AS ${item.alias}$ErrSuffix")
     }
-
-    val groupAliases = q.groupBy.zipWithIndex.map { case (_, i) => s"g_$i" }
-    val groupSelect  = q.groupBy.zip(groupAliases)
-      .map { case (g, a) => s"${g.sqlText} AS $a" }
-
-    // --- L2 ------------------------------------------------------------------
-    val statCols = slotOf.values.toSeq.sortBy(_.j).flatMap(statSql(_, probSql))
-    val whereSql = q.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-    val l2GroupBy = (q.groupBy.map(_.sqlText) :+ sidSql).mkString(", ")
-    val l2 =
-      s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size"
-        ).++(statCols).mkString(", ")} " +
-      s"FROM $fromSql$whereSql GROUP BY $l2GroupBy"
-
-    // (The paper's Query 9 carries an `n_g` window at this point to scale
-    // per-subsample estimates by the realized group size; with the expected
-    // b-scaling used here — see perSidSql — no window is needed, which also
-    // removes one sort/shuffle from every rewritten query.)
-
-    // --- L3/L4 ---------------------------------------------------------------
-    val errCols = scala.collection.mutable.LinkedHashMap.empty[String, String]
-    val outCols = Seq.newBuilder[String]
-    for (item <- q.select) {
-      if (item.expr.aggs.isEmpty) {
-        val gi = q.groupBy.indexWhere(_.sqlText == item.expr.asInstanceOf[Raw].sqlText)
-        if (gi < 0) bail(s"non-grouped plain select item: ${item.alias}")
-        outCols += s"g_$gi AS ${item.alias}"
-      } else {
-        val point  = item.expr.render(c => pointSql(slotOf(c), choices))
-        val perSid = item.expr.render(c => perSidSql(slotOf(c), b, choices))
-        val errCol = s"${item.alias}$ErrSuffix"
-        outCols += s"$point AS ${item.alias}"
-        outCols += s"(stddev_samp($perSid) * ${errScaleSql("vsub_size")}) AS $errCol"
-        errCols += item.alias -> errCol
-      }
-    }
-    val havingSql = q.having
-      .map(h => s" HAVING ${h.render(c => pointSql(slotOf(c), choices))}")
-      .getOrElse("")
     val groupBySql =
-      if (groupAliases.isEmpty) "" else s" GROUP BY ${groupAliases.mkString(", ")}"
+      if (q.groupBy.isEmpty) "" else s" GROUP BY ${q.groupBy.indices.map(i => s"g_$i").mkString(", ")}"
+    val havingSql = having.map(h => s" HAVING $h").getOrElse("")
     val orderSql =
       if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}"
     val limitSql = q.limit.map(n => s" LIMIT $n").getOrElse("")
-
-    val sql = s"SELECT ${outCols.result().mkString(", ")} FROM ($l2) vt3" +
-      s"$groupBySql$havingSql$orderSql$limitSql"
-    Rewritten(sql, errCols.toMap, b)
+    Rewritten(s"SELECT ${cols.mkString(", ")} FROM $from$groupBySql$havingSql$orderSql$limitSql",
+      q.aggItems.map(i => i.alias -> s"${i.alias}$ErrSuffix").toMap, b)
   }
 
-  /** L2 sufficient statistics for one aggregate call. */
-  private def statSql(s: AggSlots, probSql: String): Seq[String] = {
-    import AggFuncType._
-    val p = s"($probSql)"
-    s.call.func match {
-      case Count =>
-        s.call.argSql match {
-          case None | Some("1") => Seq(s"sum(1.0 / $p) AS ${s.w}")
-          case Some(a) =>
-            Seq(s"sum(CASE WHEN ($a) IS NOT NULL THEN 1.0 / $p END) AS ${s.w}")
-        }
-      case Sum =>
-        Seq(s"sum((${s.call.argSql.get}) / $p) AS ${s.xw}")
-      case Avg =>
-        Seq(s"sum((${s.call.argSql.get}) / $p) AS ${s.xw}", s"sum(1.0 / $p) AS ${s.w}")
-      case VarSamp | StddevSamp =>
-        val a = s.call.argSql.get
-        Seq(s"sum(($a) / $p) AS ${s.xw}", s"sum(1.0 / $p) AS ${s.w}",
-          s"sum(($a) * ($a) / $p) AS ${s.x2w}")
-      case Percentile(qq) =>
-        Seq(s"percentile((${s.call.argSql.get}), $qq) AS ${s.pct}")
-      case CountDistinct =>
-        Seq(s"count(DISTINCT (${s.call.argSql.get})) AS ${s.cd}")
-      case Min | Max => bail("extreme statistic reached the rewriter")
-    }
-  }
+  // ------------------------------------------------------------------ flat --
 
-  /** Domain fraction tau for count-distinct: the hashed sample's parameter. */
-  private def distinctTau(choices: Map[String, TableChoice]): Double =
-    choices.values.collectFirst {
-      case UseSample(i) if i.sampleType == SampleType.Hashed => i.tau
-    }.getOrElse(1.0)
-
-  /** L4 point estimate (over the summed L2/L3 statistics). */
-  private def pointSql(s: AggSlots, choices: Map[String, TableChoice]): String = {
-    import AggFuncType._
-    s.call.func match {
-      case Count         => s"sum(${s.w})"
-      case Sum           => s"sum(${s.xw})"
-      case Avg           => s"(sum(${s.xw}) / sum(${s.w}))"
-      case VarSamp       =>
-        s"(sum(${s.x2w}) / sum(${s.w}) - power(sum(${s.xw}) / sum(${s.w}), 2))"
-      case StddevSamp    =>
-        s"sqrt(sum(${s.x2w}) / sum(${s.w}) - power(sum(${s.xw}) / sum(${s.w}), 2))"
-      case Percentile(_) => s"(sum(${s.pct} * vsub_size) / sum(vsub_size))"
-      case CountDistinct =>
-        s"(sum(${s.cd}) / CAST(${distinctTau(choices)} AS DOUBLE))"
-      case Min | Max     => bail("extreme statistic reached the rewriter")
+  private def rewriteFlat(q: FlatQuery, choices: Map[String, TableChoice],
+                          seed: Long): Rewritten = {
+    if (q.hasExtreme) bail("extreme statistics must be decomposed before rewriting")
+    val c = cells(q, choices, seed, groupRows = false)
+    // a percentile has no additive statistic: its point is the size-weighted
+    // mean of the cells' percentiles
+    def pooled(call: AggCall)(st: Stat): String = st match {
+      case Stat.Pct => s"(sum(${c.col(call, st)} * vsub_size) / sum(vsub_size))"
+      case _        => s"sum(${c.col(call, st)})"
     }
-  }
-
-  /** L3 per-subsample estimate (one row per (group, sid)).
-    *
-    * Counts and sums scale by b — the expected subsample-to-sample factor —
-    * NOT by the realized n_g/sub_size: the realized ratio would cancel the
-    * subsample-size randomness that is part of a Bernoulli sample's count
-    * variance, collapsing the count estimator's spread to zero.
-    */
-  private def perSidSql(s: AggSlots, b: Int, choices: Map[String, TableChoice]): String = {
-    import AggFuncType._
-    s.call.func match {
-      case Count         => s"(${s.w} * $b)"
-      case Sum           => s"(${s.xw} * $b)"
-      case Avg           => s"(${s.xw} / ${s.w})"
-      case VarSamp       => s"(${s.x2w} / ${s.w} - power(${s.xw} / ${s.w}, 2))"
-      case StddevSamp    => s"sqrt(${s.x2w} / ${s.w} - power(${s.xw} / ${s.w}, 2))"
-      case Percentile(_) => s.pct
-      case CountDistinct =>
-        s"(${s.cd} * $b / CAST(${distinctTau(choices)} AS DOUBLE))"
-      case Min | Max     => bail("extreme statistic reached the rewriter")
-    }
+    def point(e: Expr) =
+      e.render(call => CellStats.estimate(call, pooled(call), "1", c.distinctTau))
+    // (The paper's Query 9 carries an `n_g` window to scale per-subsample
+    // estimates by the realized group size. Counts and sums scale by b, the
+    // expected subsample-to-sample factor, instead: the realized ratio would
+    // cancel the subsample-size randomness that is part of a Bernoulli
+    // sample's count variance, collapsing the count estimator's spread to
+    // zero. So no window is needed, which also removes one sort/shuffle.)
+    def perSid(e: Expr) =
+      e.render(call => CellStats.estimate(call, c.col(call, _), c.b.toString, c.distinctTau))
+    outputLevel(q, s"(${c.sql}) vt3", i => point(i.expr), i => perSid(i.expr),
+      q.having.map(point), c.b)
   }
 
   // ---------------------------------------------------------------- nested --
 
-  /** Aggregate-in-FROM queries (Section 5.2). The inner query's variational
-    * table is obtained by appending `sid` to its GROUP BY (Query 7); the
-    * outer aggregates run once over the full-sample derived table (point
-    * estimate) and once per sid (error estimate), joined on the outer
-    * grouping columns.
+  /** Aggregate-in-FROM queries (Section 5.2) in one pass over the sample.
+    * The inner query's cell table (Query 7's `GROUP BY ..., sid`) also
+    * carries one pooled row per inner group (NULL `vsid`), so L3 gives the
+    * inner select items as the inner point (scale 1) on that row and as a
+    * per-sid estimate (scale b) on every sid row. L4 runs the outer
+    * aggregates per (outer groups, vsid); the last level takes the point
+    * from the NULL-`vsid` row and the error from the sid rows.
     */
   private def rewriteNested(outer: FlatQuery, inner: FlatQuery, alias: String,
                             choices: Map[String, TableChoice], seed: Long): Rewritten = {
     if (outer.hasExtreme || inner.hasExtreme) bail("extreme statistics in nested query")
     if (inner.groupBy.isEmpty) bail("nested rewrite requires a grouped inner query")
+    if (inner.allAggs.exists(_.func.isInstanceOf[AggFuncType.Percentile]))
+      bail("percentile in a nested query (its point is no function of pooled statistics)")
+    if (outer.having.isDefined) bail("HAVING on the outer query of a nested query")
+    if (inner.limit.isDefined) bail("LIMIT in the inner query of a nested query")
 
-    // Rewrite the inner query (it emits point + err columns; we keep points
-    // as the derived table's columns).
-    val innerRw = rewriteFlat(inner, choices, seed)
-    val b       = innerRw.b
+    val c = cells(inner, choices, seed, groupRows = true)
+    val scale = s"CASE WHEN vsid IS NULL THEN 1 ELSE ${c.b} END"
+    def est(e: Expr) =
+      e.render(call => CellStats.estimate(call, c.col(call, _), scale, c.distinctTau))
+    val innerCols = inner.select.map { item =>
+      if (item.expr.aggs.isEmpty) groupCol(inner, item) else s"${est(item.expr)} AS ${item.alias}"
+    }
+    val innerHaving = inner.having.map(h => s" WHERE ${est(h)}").getOrElse("")
+    val l3 = s"SELECT ${(innerCols :+ "vsid").mkString(", ")} FROM (${c.sql}) vt3$innerHaving"
 
-    // Variational table of the inner query (Query 7): same flat rewrite but
-    // grouped by (groups, sid) with per-sid estimates as the column values.
-    val innerV = innerVariationalSql(inner, choices, seed, b)
-
-    val pointCols = inner.select.map(_.alias)
-    val dropErrs  = innerRw.errColumns.values.toSeq
-    val dfull = s"SELECT ${pointCols.mkString(", ")} FROM (${innerRw.sql}) ${alias}_full"
-    val _     = dropErrs // err columns of the inner query are simply not selected
-
-    val outerGroups  = outer.groupBy.map(_.sqlText)
-    val groupAliases = outerGroups.zipWithIndex.map { case (_, i) => s"g_$i" }
-    val gSel  = outerGroups.zip(groupAliases).map { case (g, a) => s"$g AS $a" }
+    val outerGroups = outer.groupBy.map(_.sqlText)
+    val calls = outer.allAggs.distinct
+    def o(call: AggCall) = s"o_${calls.indexOf(call)}"
+    val l4Cols = outerGroups.zipWithIndex.map { case (g, i) => s"$g AS g_$i" } ++
+      ("vsid" +: calls.map(call => s"${call.sqlExact} AS ${o(call)}"))
     val whereSql = outer.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-
-    def aggSql(call: AggCall): String = call.sqlExact
-
-    // point branch: exact outer aggregation over the derived point table
-    val pointItems = outer.select.zipWithIndex.map { case (item, i) =>
-      if (item.expr.aggs.isEmpty) s"${item.expr.asInstanceOf[Raw].sqlText} AS ${item.alias}"
-      else s"${item.expr.render(aggSql)} AS ${item.alias}"
-    }
-    val pGroupBy = if (outerGroups.isEmpty) "" else s" GROUP BY ${outerGroups.mkString(", ")}"
-    val pBranch  = s"SELECT ${(gSel ++ pointItems.filter(_ => true)).mkString(", ")} " +
-      s"FROM ($dfull) $alias$whereSql$pGroupBy"
-
-    // error branch: outer aggregation per sid over the derived variational
-    // table, then stddev across sids scaled by 1/sqrt(b).
-    val aggItems = outer.select.filter(_.expr.aggs.nonEmpty)
-    val perSidItems = aggItems.zipWithIndex.map { case (item, i) =>
-      s"${item.expr.render(aggSql)} AS e_$i"
-    }
-    val eGroupByCols = (outerGroups :+ "vsid").mkString(", ")
-    val eInner = s"SELECT ${(gSel :+ "vsid").++(perSidItems).mkString(", ")} " +
-      s"FROM ($innerV) $alias$whereSql GROUP BY $eGroupByCols"
-    val errAgg = aggItems.zipWithIndex.map { case (item, i) =>
-      s"(stddev_samp(e_$i) / sqrt(count(*))) AS ${item.alias}$ErrSuffix"
-    }
-    val eGroupBy = if (groupAliases.isEmpty) "" else s" GROUP BY ${groupAliases.mkString(", ")}"
-    val eBranch =
-      s"SELECT ${(groupAliases ++ errAgg).mkString(", ")} FROM ($eInner) ve$eGroupBy"
-
-    // combine
-    val errCols = aggItems.map(it => it.alias -> s"${it.alias}$ErrSuffix").toMap
-    val finalCols = outer.select.map(i => s"p.${i.alias}") ++
-      aggItems.map(i => s"e.${i.alias}$ErrSuffix")
-    val joinOn =
-      if (groupAliases.isEmpty) "ON (1 = 1)"
-      else s"ON ${groupAliases.map(g => s"p.$g = e.$g").mkString(" AND ")}"
-    val orderSql =
-      if (outer.orderBy.isEmpty) "" else s" ORDER BY ${outer.orderBy.map(_.sql).mkString(", ")}"
-    val limitSql = outer.limit.map(n => s" LIMIT $n").getOrElse("")
-    val sql = s"SELECT ${finalCols.mkString(", ")} FROM ($pBranch) p JOIN ($eBranch) e " +
-      s"$joinOn$orderSql$limitSql"
-    Rewritten(sql, errCols, b)
-  }
-
-  /** Query 7: the variational table of a grouped inner query — one row per
-    * (inner groups, sid), columns named as the inner select aliases, values
-    * being the per-sid scaled estimates.
-    */
-  private def innerVariationalSql(inner: FlatQuery, choices: Map[String, TableChoice],
-                                  seed: Long, b: Int): String = {
-    // Reuse the flat pipeline up to L3, then emit per-sid estimates grouped
-    // by (groups, sid) instead of collapsing over sids.
-    val sources = inner.from.collect { case bt: BaseTable => bt }
-    val sampled = sources.filter(s => choices(s.alias).sample.isDefined)
-    val fromSql = {
-      val rendered = sources.map { s =>
-        choices(s.alias) match {
-          case UseBase(name, _) => s"$name AS ${s.alias}"
-          case UseSample(info) =>
-            s"(SELECT *, ${sidExpr(b, seed + s.alias.hashCode)} AS vsid " +
-              s"FROM ${info.sampleTable}) AS ${s.alias}"
-        }
+    val l4 = s"SELECT ${l4Cols.mkString(", ")} FROM ($l3) $alias$whereSql " +
+      s"GROUP BY ${(outerGroups :+ "vsid").mkString(", ")}"
+    // A global outer query whose WHERE drops every point row still returns
+    // one row, holding each aggregate's value over no rows: 0 for counts.
+    def point(call: AggCall) = {
+      val p = s"max(CASE WHEN vsid IS NULL THEN ${o(call)} END)"
+      call.func match {
+        case AggFuncType.Count | AggFuncType.CountDistinct => s"coalesce($p, 0)"
+        case _                                             => p
       }
-      joinTree(rendered, sources.map(_.alias), inner.joinConds)
     }
-    val probSql = sampled.map(s => s"${s.alias}.${SampleCatalog.ProbCol}").mkString(" * ")
-    val sidSql  = sampled.map(s => s"${s.alias}.vsid")
-      .reduceLeft((acc, next) => hExpr(acc, next, b))
-
-    val slots = inner.select.flatMap(_.expr.aggs).zipWithIndex
-      .map { case (c, j) => AggSlots(j, c) }
-    val slotOf = slots.groupBy(_.call).map { case (c, ss) => c -> ss.head }
-    val groupSelect = inner.groupBy.map(_.sqlText)
-    val statCols = slotOf.values.toSeq.sortBy(_.j).flatMap(statSql(_, probSql))
-    val whereSql = inner.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-    val l2 = s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size")
-      .++(statCols).mkString(", ")} FROM $fromSql$whereSql " +
-      s"GROUP BY ${(groupSelect :+ sidSql).mkString(", ")}"
-    val outCols = inner.select.map { item =>
-      if (item.expr.aggs.isEmpty) s"${item.expr.asInstanceOf[Raw].sqlText} AS ${item.alias}"
-      else s"${item.expr.render(c => perSidSql(slotOf(c), b, choices))} AS ${item.alias}"
-    }
-    s"SELECT ${(outCols :+ "vsid").mkString(", ")} FROM ($l2) vt3"
+    // an outer filter on inner estimates may drop an outer group's point row
+    // but keep some of its sid rows; such a group has no point estimate
+    val hasPoint = if (outerGroups.isEmpty) None else Some("count(vsid) < count(*)")
+    outputLevel(outer, s"($l4) vo", i => i.expr.render(point),
+      i => i.expr.render(call => s"CASE WHEN vsid IS NOT NULL THEN ${o(call)} END"),
+      hasPoint, c.b)
   }
 }

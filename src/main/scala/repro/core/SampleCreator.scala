@@ -81,6 +81,20 @@ object SampleCreator {
     (s, info)
   }
 
+  /** Create a sample of any type. `seed` drives a uniform sample's draw
+    * (`uniform`'s default if None); a stratified sample keeps its own
+    * default seed.
+    */
+  def create(df: DataFrame, baseTable: String, sampleType: SampleType,
+             columns: Seq[String], tau: Double,
+             seed: Option[Long] = None): (DataFrame, SampleInfo) =
+    sampleType match {
+      case SampleType.Uniform    =>
+        seed.fold(uniform(df, baseTable, tau))(uniform(df, baseTable, tau, _))
+      case SampleType.Hashed     => hashed(df, baseTable, columns, tau)
+      case SampleType.Stratified => stratified(df, baseTable, columns, tau)
+    }
+
   /** Materialize a sample as a temp view and register its metadata. Returns
     * the (possibly cached) sample DataFrame.
     */

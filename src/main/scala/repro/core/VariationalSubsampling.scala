@@ -11,9 +11,6 @@ package repro.core
   */
 object VariationalSubsampling {
 
-  /** Column holding the subsample id in rewritten queries. */
-  val SidCol = "verdict_vsid"
-
   /** Number of subsamples for a sample of n rows: b = round(sqrt(n)),
     * rounded *down* to a perfect square so that Theorem 4's sqrt(b)-block
     * grid partitions exactly. Always >= 4.
@@ -58,12 +55,11 @@ object VariationalSubsampling {
     s"(CAST(floor(($iSql - 1) / $r) AS INT) * $r + CAST(floor(($jSql - 1) / $r) AS INT) + 1)"
   }
 
-  /** Error scale factor of Equation 2 / Query 9: the subsample-size
-    * correction sqrt(n_s / n) applied to the stddev of subsample estimates.
-    * Rendered over aggregated per-(group, sid) rows: `avg(sub_size)` is the
-    * mean subsample size within the group, `sum(sub_size)` the group's
-    * sample size.
+  /** Error estimate of Equation 2 / Query 9 over a group's per-sid rows:
+    * the stddev of the per-subsample estimates `perSid`, times the
+    * subsample-size correction sqrt(n_s / n) = 1 / sqrt(#subsamples), where
+    * `sidCol` is non-NULL exactly on the rows of one subsample each.
     */
-  def errScaleSql(subSizeCol: String): String =
-    s"sqrt(avg($subSizeCol) / sum($subSizeCol))"
+  def errSql(perSid: String, sidCol: String): String =
+    s"(stddev_samp($perSid) / sqrt(count($sidCol)))"
 }

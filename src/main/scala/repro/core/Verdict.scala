@@ -28,7 +28,7 @@ final case class VerdictConfig(
     confidence: Double = 0.95,
     /** include *_err columns in the output (off = transparent mode). */
     errorColumns: Boolean = true,
-    /** rows-per-stratum target divisor; see DefaultPolicy. */
+    /** sample-planner settings; its budgetFraction is replaced by the one above. */
     plannerConfig: SamplePlanner.Config = SamplePlanner.Config(),
     seed: Long = 42)
 
@@ -82,12 +82,8 @@ final class Verdict(val spark: SparkSession,
   def createSample(baseTable: String, sampleType: SampleType,
                    columns: Seq[String] = Seq.empty,
                    tau: Double = config.tau, cache: Boolean = true): SampleInfo = {
-    val df = spark.table(baseTable)
-    val (sdf, info) = sampleType match {
-      case SampleType.Uniform    => SampleCreator.uniform(df, baseTable, tau, config.seed)
-      case SampleType.Hashed     => SampleCreator.hashed(df, baseTable, columns, tau)
-      case SampleType.Stratified => SampleCreator.stratified(df, baseTable, columns, tau)
-    }
+    val (sdf, info) = SampleCreator.create(spark.table(baseTable), baseTable, sampleType,
+      columns, tau, Some(config.seed))
     SampleCreator.registerSample(spark, catalog, sdf, info, cache)
     info
   }

@@ -70,12 +70,8 @@ object BenchData {
                         columns: Seq[String] = Seq.empty,
                         tau: Double): SampleInfo = {
     val spark = env.spark
-    val df    = spark.table(baseTable)
-    val (sdf, info) = sampleType match {
-      case SampleType.Uniform    => SampleCreator.uniform(df, baseTable, tau)
-      case SampleType.Hashed     => SampleCreator.hashed(df, baseTable, columns, tau)
-      case SampleType.Stratified => SampleCreator.stratified(df, baseTable, columns, tau)
-    }
+    val (sdf, info) =
+      SampleCreator.create(spark.table(baseTable), baseTable, sampleType, columns, tau)
     val p = path(env.dir, env.sf, info.sampleTable)
     sdf.write.mode("overwrite").parquet(p)
     spark.read.parquet(p).createOrReplaceTempView(info.sampleTable)

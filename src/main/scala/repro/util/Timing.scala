@@ -10,14 +10,6 @@ object Timing {
     (r, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** Median latency of `reps` runs after `warmup` unmeasured runs. */
-  def medianMs(reps: Int = 3, warmup: Int = 1)(f: => Unit): Double = {
-    var i = 0
-    while (i < warmup) { f; i += 1 }
-    val ts = Array.fill(reps) { time(f)._2 }
-    Stats.quantile(ts.toSeq, 0.5)
-  }
-
   /** Minimum latency of `reps` runs after `warmup` unmeasured runs — the
     * robust estimator of a query's intrinsic cost on a machine with noisy
     * neighbours (interference only ever adds time).

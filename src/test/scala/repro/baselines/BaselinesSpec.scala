@@ -148,6 +148,22 @@ class BaselinesSpec extends SparkSpec {
     val exactJ = spark.sql("SELECT count(*) AS c FROM lineitem_s, orders_s " +
       "WHERE l_orderkey = o_orderkey").head().getLong(0)
     assert(math.abs(est - exactJ) / exactJ < 0.25, s"$est vs $exactJ")
+    // tau=1: every HT weight is 1, so avg and the moments are the exact
+    // population ones
+    val ve = TestData.verdictExact
+    val exactIntegrated = new IntegratedAqp(spark, ve.catalog,
+      t => ve.tableStats(t).map(_.rows).getOrElse(0L))
+    val mq = ve.parse("SELECT l_returnflag, avg(l_quantity) AS a, variance(l_quantity) AS v, " +
+      "stddev(l_quantity) AS s FROM lineitem GROUP BY l_returnflag").toOption.get
+    val moments = exactIntegrated.run(mq).get.collect().map(r => r.getString(0) -> r).toMap
+    spark.sql("SELECT l_returnflag, avg(l_quantity), var_pop(l_quantity), " +
+      "stddev_pop(l_quantity) FROM lineitem GROUP BY l_returnflag").collect().foreach { e =>
+      val got = moments(e.getString(0))
+      (1 to 3).foreach { i =>
+        assert(math.abs(got.getDouble(i) - e.getDouble(i)) <= 1e-9 * e.getDouble(i),
+          s"${e.getString(0)} column $i: ${got.getDouble(i)} vs ${e.getDouble(i)}")
+      }
+    }
   }
 
   test("integrated AQP declines extreme statistics and unsupported shapes") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
+import repro.core.SamplePlanner.{TableChoice, UseSample}
 
 /** The AQP rewriter (Sections 4–5, Appendix G).
   *
@@ -216,5 +217,84 @@ class RewriterSpec extends SparkSpec {
     val exact = spark.sql(q).head().getDouble(0)
     val est = r.df.head().getAs[Double]("s")
     assert(math.abs(est - exact) / exact < 0.3, s"$est vs $exact")
+  }
+
+  // ------------------------------------- nested path, explicit sample choices --
+
+  private def sampleOf(table: String, t: SampleType, v: Verdict = vSampled): TableChoice =
+    UseSample(v.catalog.samplesFor(table).find(_.sampleType == t).get)
+
+  private def rewriteWith(sql: String, choices: Map[String, TableChoice],
+                          v: Verdict = vSampled): Rewriter.Rewritten =
+    Rewriter.rewrite(v.parse(sql).toOption.get, choices, seed = 3).toOption.get
+
+  test("nested hashed x hashed: _err equals the flat _err of the same global sum") {
+    val choices = Map("lineitem_s" -> sampleOf("lineitem_s", SampleType.Hashed),
+      "orders_s" -> sampleOf("orders_s", SampleType.Hashed))
+    val join = "FROM lineitem_s, orders_s WHERE l_orderkey = o_orderkey"
+    val flat = spark.sql(rewriteWith(s"SELECT sum(l_extendedprice) AS s $join", choices).sql)
+      .head()
+    val nested = spark.sql(rewriteWith("SELECT sum(s) AS s FROM " +
+      s"(SELECT o_orderstatus, sum(l_extendedprice) AS s $join GROUP BY o_orderstatus) t",
+      choices).sql).head()
+    val (fs, fe) = (flat.getAs[Double]("s"), flat.getAs[Double]("s_err"))
+    val (ns, ne) = (nested.getAs[Double]("s"), nested.getAs[Double]("s_err"))
+    assert(math.abs(ns - fs) / fs < 1e-9, s"point: nested $ns vs flat $fs")
+    assert(math.abs(ne - fe) / fe < 0.05, s"_err: nested $ne vs flat $fe")
+  }
+
+  test("nested points equal the flat rewrite of the inner query") {
+    val choices = Map("lineitem_s" -> sampleOf("lineitem_s", SampleType.Uniform))
+    val inner = "SELECT l_returnflag, count(*) AS c, sum(l_quantity) AS s, " +
+      "avg(l_quantity) AS a, variance(l_quantity) AS v, stddev(l_quantity) AS sd " +
+      "FROM lineitem_s GROUP BY l_returnflag"
+    val cols = Seq("c", "s", "a", "v", "sd")
+    val flat = spark.sql(rewriteWith(inner, choices).sql).collect()
+    val nested = spark.sql(rewriteWith(
+      s"SELECT ${cols.map(c => s"sum($c) AS $c").mkString(", ")} FROM ($inner) t",
+      choices).sql).head()
+    cols.foreach { c =>
+      val want = flat.map(_.getAs[Any](c).toString.toDouble).sum
+      val got  = nested.getAs[Any](c).toString.toDouble
+      assert(math.abs(got - want) <= 1e-9 * math.abs(want), s"$c: nested $got vs flat $want")
+    }
+  }
+
+  test("nested rewrite reads its sample once") {
+    val choice = sampleOf("lineitem_s", SampleType.Uniform)
+    val sql = rewriteWith("""SELECT avg(daily) AS a FROM
+                            |(SELECT l_linenumber, sum(l_extendedprice) AS daily
+                            | FROM lineitem_s GROUP BY l_linenumber) t""".stripMargin,
+      Map("lineitem_s" -> choice)).sql
+    assert(sql.split(choice.scanTable, -1).length == 2, sql)
+    assert(spark.sql(sql).count() == 1)
+  }
+
+  test("nested count-distinct over a hashed sample is exact at tau=1") {
+    val q = """SELECT sum(cd) AS total FROM
+              |(SELECT l_returnflag, count(distinct l_orderkey) AS cd
+              | FROM lineitem GROUP BY l_returnflag) t""".stripMargin
+    val rw = rewriteWith(q, Map("lineitem" -> sampleOf("lineitem", SampleType.Hashed, vExact)),
+      vExact)
+    val exact = spark.sql(q).head().getLong(0)
+    assert(math.abs(spark.sql(rw.sql).head().getAs[Double]("total") - exact) < 1e-6)
+  }
+
+  test("nested query with an inner LIMIT passes through with the exact answer") {
+    val q = """SELECT sum(s) AS total FROM
+              |(SELECT l_returnflag, sum(l_quantity) AS s FROM lineitem
+              | GROUP BY l_returnflag ORDER BY s DESC LIMIT 1) t""".stripMargin
+    val r = vExact.sql(q)
+    assert(!r.approximate && r.notes.contains("LIMIT"), r.notes)
+    assert(r.df.head().get(0) == spark.sql(q).head().get(0))
+  }
+
+  test("global nested query whose outer WHERE drops every group counts 0") {
+    val q = """SELECT count(*) AS n, sum(s) AS total FROM
+              |(SELECT l_returnflag, sum(l_quantity) AS s FROM lineitem
+              | GROUP BY l_returnflag) t WHERE s < 0""".stripMargin
+    val row = approx(vExact, q).df.head()
+    assert(row.getAs[Any]("n").toString.toDouble == 0.0, row)
+    assert(row.isNullAt(row.fieldIndex("total")), row)
   }
 }

@@ -80,10 +80,12 @@ class VariationalSubsamplingSpec extends SparkSpec {
       assert(math.abs(c - expected) < 6 * math.sqrt(expected), s"count=$c"))
   }
 
-  test("errScaleSql computes sqrt(n_s/n) over grouped subsample sizes") {
+  test("errSql divides the per-sid stddev by sqrt(#sids)") {
+    // the NULL-sid row (a pooled group row) is no subsample and is not counted
     val v = spark.sql(
-      s"SELECT ${errScaleSql("sz")} AS s FROM VALUES (100), (100), (100), (100) AS t(sz)")
+      s"SELECT ${errSql("CASE WHEN sid IS NOT NULL THEN e END", "sid")} AS s " +
+        "FROM VALUES (1, 2.0D), (2, 4.0D), (3, 6.0D), (4, 8.0D), (NULL, 100.0D) AS t(sid, e)")
       .head().getDouble(0)
-    assert(math.abs(v - math.sqrt(100.0 / 400.0)) < 1e-12)
+    assert(math.abs(v - math.sqrt(20.0 / 3) / 2) < 1e-12)
   }
 }
