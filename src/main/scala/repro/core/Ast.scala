@@ -137,9 +137,12 @@ object Ast {
       val w  = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
       val g  = if (groupBy.nonEmpty) s" GROUP BY ${groupBy.map(_.sqlText).mkString(", ")}" else ""
       val h  = having.map(e => s" HAVING ${e.sqlExact}").getOrElse("")
-      val o  = if (orderBy.nonEmpty) s" ORDER BY ${orderBy.map(_.sql).mkString(", ")}" else ""
-      val l  = limit.map(n => s" LIMIT $n").getOrElse("")
-      s"SELECT $sel FROM $fromSql$w$g$h$o$l"
+      s"SELECT $sel FROM $fromSql$w$g$h$orderLimitSql"
     }
+
+    /** This query's ORDER BY and LIMIT clauses, each with a leading space. */
+    def orderLimitSql: String =
+      (if (orderBy.isEmpty) "" else s" ORDER BY ${orderBy.map(_.sql).mkString(", ")}") +
+        limit.map(n => s" LIMIT $n").getOrElse("")
   }
 }

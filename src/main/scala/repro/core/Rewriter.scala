@@ -2,7 +2,7 @@ package repro.core
 
 import repro.core.Ast._
 import repro.core.CellStats.Stat
-import repro.core.SamplePlanner.{TableChoice, UseBase, UseSample}
+import repro.core.SamplePlanner.{PlanBlock, TableChoice, UseBase, UseSample}
 import repro.core.VariationalSubsampling._
 
 /** The AQP Rewriter (Sections 4, 5 and Appendix G).
@@ -26,6 +26,10 @@ import repro.core.VariationalSubsampling._
   * h(i, j), so a single join suffices (Section 5.1). Aggregate-in-FROM
   * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2) on the
   * same cell table.
+  *
+  * A query whose plan has several blocks (Appendix E), or min/max items
+  * (Section 2.2), is still one statement: `rewritePlan` joins its parts on
+  * the group keys.
   */
 object Rewriter {
 
@@ -35,7 +39,8 @@ object Rewriter {
   final case class Rewritten(sql: String,
                              /** output column -> error column, per aggregate item */
                              errColumns: Map[String, String],
-                             /** number of subsamples used */
+                             /** number of subsamples used (the largest of a
+                               * query's sampled parts) */
                              b: Int)
 
   private final case class Unsupported(reason: String) extends RuntimeException(reason)
@@ -43,15 +48,74 @@ object Rewriter {
 
   def rewrite(q: FlatQuery, choices: Map[String, TableChoice],
               seed: Long): Either[String, Rewritten] =
+    try scala.Right(rewriteBlock(q, choices, seed))
+    catch { case Unsupported(r) => scala.Left(r) }
+
+  private def rewriteBlock(q: FlatQuery, choices: Map[String, TableChoice],
+                           seed: Long): Rewritten = q.from match {
+    case Seq(DerivedTable(inner, alias)) => rewriteNested(q, inner, alias, choices, seed)
+    case srcs if srcs.forall(_.isInstanceOf[BaseTable]) => rewriteFlat(q, choices, seed)
+    case _ => bail("unsupported source mix (derived table joined with others)")
+  }
+
+  // ------------------------------------------------------------ whole plan --
+
+  /** Renders a query's whole plan as one statement. Each plan block answers
+    * the aggregate items of `q` whose calls it owns (its `aggIdxs` index the
+    * planned query's `allAggs`, the inner query's if `q` is nested); the
+    * `exact` items (Section 2.2's min/max) form one more part, over base
+    * tables. A single part is that part's `rewrite`. Otherwise a part that
+    * reads a sample is rewritten, a part of base tables only runs exactly,
+    * and the parts are joined null-safe on the group keys (crossed for a
+    * global query), with ORDER BY and LIMIT applied once to the joined rows.
+    */
+  def rewritePlan(q: FlatQuery, exact: Seq[SelectItem], blocks: Seq[PlanBlock],
+                  seed: Long): Either[String, Rewritten] =
     try {
-      q.from match {
-        case Seq(DerivedTable(inner, alias)) =>
-          scala.Right(rewriteNested(q, inner, alias, choices, seed))
-        case srcs if srcs.forall(_.isInstanceOf[BaseTable]) =>
-          scala.Right(rewriteFlat(q, choices, seed))
-        case _ => scala.Left("unsupported source mix (derived table joined with others)")
+      val sampled: Seq[(FlatQuery, Map[String, TableChoice])] = q.from match {
+        case Seq(_: DerivedTable) =>
+          if (blocks.size > 1) bail("the inner query of a nested query needs several sample plans")
+          Seq(q -> blocks.head.choices)
+        case _ =>
+          val aggs  = q.allAggs
+          val items = blocks.map(blk =>
+            q.aggItems.filter(_.expr.aggs.forall(blk.aggIdxs.map(aggs).contains)))
+          if (!q.aggItems.forall(items.flatten.contains))
+            bail("select item mixes aggregates from different sample plans")
+          blocks.zip(items).map { case (blk, its) =>
+            q.copy(select = q.plainItems ++ its) -> blk.choices }
       }
+      val parts = sampled ++ (if (exact.isEmpty) Seq.empty
+        else Seq(q.copy(select = q.plainItems ++ exact, having = None) -> Map.empty[String, TableChoice]))
+      scala.Right(parts match {
+        case Seq((p, choices)) => rewriteBlock(p, choices, seed)
+        case _                 => joinParts(q, parts, seed)
+      })
     } catch { case Unsupported(r) => scala.Left(r) }
+
+  private def joinParts(q: FlatQuery, parts: Seq[(FlatQuery, Map[String, TableChoice])],
+                        seed: Long): Rewritten = {
+    if (!q.groupBy.forall(g => q.plainItems.exists(_.expr == g)))
+      bail("a query answered in several parts must select every group key")
+    val rendered = parts.zipWithIndex.map { case ((p, choices), i) =>
+      val unordered = p.copy(orderBy = Seq.empty, limit = None)
+      if (choices.values.forall(_.sample.isEmpty)) (unordered.sqlExact, p, None)
+      else { val rw = rewriteBlock(unordered, choices, seed + i); (rw.sql, p, Some(rw)) }
+    }
+    val rws = rendered.flatMap(_._3)
+    if (rws.isEmpty) bail("no sampled block in the plan; run exact instead")
+    val keys = q.plainItems.map(_.alias)
+    val cols = keys.map(k => s"v0.$k") ++ rendered.zipWithIndex.flatMap { case ((_, p, rw), i) =>
+      p.aggItems.flatMap(it => it.alias +: rw.map(_.errColumns(it.alias)).toSeq).map(c => s"v$i.$c")
+    }
+    val from = rendered.zipWithIndex.map { case ((sql, _, _), i) =>
+      if (i == 0) s"($sql) v0"
+      else if (keys.isEmpty) s" CROSS JOIN ($sql) v$i"
+      else s" JOIN ($sql) v$i ON ${keys.map(k => s"v0.$k <=> v$i.$k").mkString(" AND ")}"
+    }.mkString
+    Rewritten(s"SELECT ${cols.mkString(", ")} FROM $from${q.orderLimitSql}",
+      rws.flatMap(_.errColumns).toMap, rws.map(_.b).max)
+  }
 
   // ------------------------------------------------------------ cell table --
 
@@ -78,6 +142,9 @@ object Rewriter {
     val hashSidCol: Option[String] = distinctAggs.headOption.map { a =>
       if (distinctAggs.map(_.argSql).distinct.size > 1)
         bail("multiple count-distinct columns in one block")
+      // h(i, j) of the hash sid and another source's sid no longer
+      // partitions the distinct column's domain
+      if (sampled.size > 1) bail("count-distinct over more than one sampled source")
       a.argSql.get
     }
 
@@ -208,10 +275,7 @@ object Rewriter {
     val groupBySql =
       if (q.groupBy.isEmpty) "" else s" GROUP BY ${q.groupBy.indices.map(i => s"g_$i").mkString(", ")}"
     val havingSql = having.map(h => s" HAVING $h").getOrElse("")
-    val orderSql =
-      if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}"
-    val limitSql = q.limit.map(n => s" LIMIT $n").getOrElse("")
-    Rewritten(s"SELECT ${cols.mkString(", ")} FROM $from$groupBySql$havingSql$orderSql$limitSql",
+    Rewritten(s"SELECT ${cols.mkString(", ")} FROM $from$groupBySql$havingSql${q.orderLimitSql}",
       q.aggItems.map(i => i.alias -> s"${i.alias}$ErrSuffix").toMap, b)
   }
 

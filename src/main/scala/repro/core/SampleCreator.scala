@@ -41,11 +41,11 @@ object SampleCreator {
              tau: Double): (DataFrame, SampleInfo) = {
     require(cols.nonEmpty, "hashed sample needs a column set")
     require(tau > 0 && tau <= 1, s"tau out of (0,1]: $tau")
-    val kept     = df.where(expr(s"${hashUnitExpr(cols)} < $tau"))
-    val baseRows = df.count()
-    val n        = kept.count()
-    val ratio    = if (baseRows == 0) 1.0 else n.toDouble / baseRows
-    val s        = kept.withColumn(ProbCol, lit(ratio))
+    val inSample      = expr(s"${hashUnitExpr(cols)} < $tau")
+    val counts        = df.agg(count(lit(1)), count(when(inSample, 1))).head()
+    val (baseRows, n) = (counts.getLong(0), counts.getLong(1))
+    val ratio         = if (baseRows == 0) 1.0 else n.toDouble / baseRows
+    val s             = df.where(inSample).withColumn(ProbCol, lit(ratio))
     val info = SampleInfo(baseTable,
       s"${baseTable}_hashed_${cols.mkString("_")}", SampleType.Hashed,
       cols, tau, baseRows, n)
@@ -66,10 +66,11 @@ object SampleCreator {
     require(tau > 0 && tau <= 1, s"tau out of (0,1]: $tau")
     val sizes = df.groupBy(cols.map(col): _*)
       .agg(count(lit(1)).as("verdict_strata_size"))
-    val baseRows = df.count()
-    val d        = sizes.count()
-    val m        = math.max(1L, math.ceil(baseRows * tau / d.toDouble).toLong)
-    val maxSize  = sizes.agg(max("verdict_strata_size")).head().getLong(0)
+    // |T|, d_C and the largest stratum, in one pass over the strata
+    val strata = sizes.agg(sum("verdict_strata_size"), count(lit(1)),
+      max("verdict_strata_size")).head()
+    val (baseRows, d, maxSize) = (strata.getLong(0), strata.getLong(1), strata.getLong(2))
+    val m = math.max(1L, math.ceil(baseRows * tau / d.toDouble).toLong)
     val probSql  = Staircase.caseExpression("verdict_strata_size", m, maxSize, delta)
     val s = df.join(sizes, cols)
       .withColumn(ProbCol, expr(probSql))

@@ -8,6 +8,7 @@ import repro.core.SamplePlanner._
 import repro.util.Stats
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Per-base-table statistics gathered at registration time (row count and
   * column cardinalities) — used by the default sampling policy (Appendix F)
@@ -60,20 +61,15 @@ final class Verdict(val spark: SparkSession,
 
   // ------------------------------------------------------------- sample prep
 
-  /** Register a base table (as a temp view) and gather its stats. */
+  /** Register a base table (as a temp view) and gather its stats in one
+    * pass: the row count and each column's approximate cardinality. */
   def registerTable(name: String, df: DataFrame): TableStats = {
     df.createOrReplaceTempView(name)
-    val rows  = df.count()
-    val cards = approxCardinalities(df)
-    val s = TableStats(rows, cards)
+    val row = df.agg(count(lit(1)), df.columns.toSeq.map(c => approx_count_distinct(col(c))): _*).head()
+    val s = TableStats(row.getLong(0),
+      df.columns.zipWithIndex.map { case (c, i) => c.toLowerCase -> row.getLong(i + 1) }.toMap)
     stats(name.toLowerCase) = s
     s
-  }
-
-  private def approxCardinalities(df: DataFrame): Map[String, Long] = {
-    val aggs = df.columns.map(c => approx_count_distinct(col(c)).as(c))
-    val row  = df.agg(aggs.head, aggs.tail: _*).head()
-    df.columns.zipWithIndex.map { case (c, i) => c.toLowerCase -> row.getLong(i) }.toMap
   }
 
   def tableStats(name: String): Option[TableStats] = stats.get(name.toLowerCase)
@@ -129,161 +125,91 @@ final class Verdict(val spark: SparkSession,
     CatalystConverter.convert(plan, schemaLookup)
   }
 
-  /** Main entry: run `sql` approximately when supported, exactly otherwise. */
+  /** Main entry: run `sql` approximately when supported, exactly otherwise.
+    * A supported query becomes one rewritten statement that runs once.
+    */
   def sql(query: String): VerdictResult = {
     queryCounter += 1
     val qseed = config.seed + 7919 * queryCounter
     parse(query) match {
       case scala.Left(reason) => passthrough(query, s"unsupported: $reason")
+      case scala.Right(q) if q.allAggs.isEmpty => passthrough(query, "no aggregates")
       case scala.Right(q) =>
-        if (q.allAggs.isEmpty) passthrough(query, "no aggregates")
-        else if (q.hasExtreme) decomposed(query, q, qseed)
-        else approximate(query, q, qseed)
+        // Section 2.2: extreme (min/max) items are computed exactly, the
+        // mean-like ones from samples
+        val (extreme, meanLike) = q.aggItems.partition(_.expr.aggs.exists(_.func.isExtreme))
+        if (meanLike.isEmpty) passthrough(query, "extreme-only aggregates")
+        else if (extreme.exists(_.expr.aggs.exists(!_.func.isExtreme)))
+          passthrough(query, "mixed extreme/mean-like item")
+        else approximate(query, q, extreme, qseed)
     }
   }
 
   private def passthrough(query: String, note: String): VerdictResult =
     VerdictResult(spark.sql(query), approximate = false, None, Map.empty, note)
 
-  /** Section 2.2: split extreme (min/max) and mean-like aggregates; compute
-    * the extreme part exactly and the mean-like part approximately, then
-    * join on the grouping columns.
-    */
-  private def decomposed(query: String, q: FlatQuery, qseed: Long): VerdictResult = {
-    val (extremeItems, meanItems) =
-      q.aggItems.partition(_.expr.aggs.exists(_.func.isExtreme))
-    if (meanItems.isEmpty) return passthrough(query, "extreme-only aggregates")
-    if (extremeItems.exists(_.expr.aggs.exists(!_.func.isExtreme)))
-      return passthrough(query, "mixed extreme/mean-like item")
-
-    val qExact = q.copy(select = q.plainItems ++ extremeItems,
-      having = None, orderBy = Seq.empty, limit = None)
-    val qAqp   = q.copy(select = q.plainItems ++ meanItems)
-    val exact  = spark.sql(qExact.sqlExact)
-    val approx = approximate(query, qAqp, qseed)
-    if (!approx.approximate) return passthrough(query, "AQP infeasible for mean-like part")
-
-    val groupCols = q.plainItems.map(_.alias)
-    val joined =
-      if (groupCols.isEmpty) approx.df.crossJoin(exact)
-      else approx.df.join(exact, groupCols)
-    val outCols = q.select.map(_.alias) ++ approx.errColumns.values.toSeq
-    VerdictResult(joined.select(outCols.map(col): _*), approximate = true,
-      approx.rewrittenSql, approx.errColumns, "decomposed extreme statistics")
+  private def approximate(query: String, q: FlatQuery, extreme: Seq[SelectItem],
+                          qseed: Long): VerdictResult = {
+    val sampled = q.copy(select = q.select.filterNot(extreme.contains))
+    // a nested query is planned on its inner query (Section 5.2)
+    val unit = sampled.from match { case Seq(DerivedTable(inner, _)) => inner; case _ => sampled }
+    val cfg = config.plannerConfig.copy(budgetFraction = config.budgetFraction)
+    val rewritten = for {
+      sources <- planningSources(unit)
+      plan    <- SamplePlanner.plan(unit.allAggs, sources, unit.groupBy.map(_.sqlText), cfg)
+                   .toRight("no feasible sample plan")
+      rw      <- Rewriter.rewritePlan(sampled, extreme, plan.blocks, qseed)
+                   .left.map(reason => s"rewrite failed: $reason")
+    } yield rw
+    rewritten.fold(passthrough(query, _),
+      run(query, q, _, if (extreme.isEmpty) "" else "decomposed extreme statistics"))
   }
 
-  private def approximate(query: String, q: FlatQuery, qseed: Long): VerdictResult = {
-    val sourcesE = planningSources(q)
-    if (sourcesE.isLeft) return passthrough(query, sourcesE.swap.toOption.get)
-    val sources = sourcesE.toOption.get
-
-    val groupCols = q.groupBy.map(_.sqlText)
-    val planOpt = SamplePlanner.plan(q.allAggs, sources, groupCols,
-      config.plannerConfig.copy(budgetFraction = config.budgetFraction))
-    planOpt match {
-      case None => passthrough(query, "no feasible sample plan")
-      case Some(plan) =>
-        val result = executePlan(q, plan, qseed)
-        result match {
-          case scala.Left(reason) => passthrough(query, s"rewrite failed: $reason")
-          case scala.Right(r)     => hacCheck(query, r)
-        }
-    }
-  }
-
-  /** Build planner inputs for the query's sources. For a nested query the
-    * planning unit is the inner query's base tables.
+  /** Planner inputs for the base tables of `unit`, the block that reads the
+    * sampled sources.
     */
-  private def planningSources(q: FlatQuery): Either[String, Seq[SourceInfo]] = {
-    val (baseSources, joinConds) = q.from match {
-      case Seq(DerivedTable(inner, _)) =>
-        (inner.from.collect { case b: BaseTable => b }, inner.joinConds)
-      case srcs => (srcs.collect { case b: BaseTable => b }, q.joinConds)
-    }
-    if (baseSources.isEmpty) return scala.Left("no base tables")
-    val infos = baseSources.map { s =>
+  private def planningSources(unit: FlatQuery): Either[String, Seq[SourceInfo]] = {
+    val infos = unit.from.collect { case s: BaseTable =>
       val st = stats.get(s.name.toLowerCase)
-      val joinCols = joinConds.flatMap(_.colFor(s.alias)).toSet
       val cols =
         try spark.table(s.name).columns.toSeq catch { case _: Exception => Seq.empty[String] }
-      SourceInfo(s.alias, s.name,
-        st.map(_.rows).getOrElse(0L),
-        catalog.samplesFor(s.name),
-        joinCols,
-        st.map(_.cardinalities).getOrElse(Map.empty),
-        cols)
+      SourceInfo(s.alias, s.name, st.map(_.rows).getOrElse(0L), catalog.samplesFor(s.name),
+        unit.joinConds.flatMap(_.colFor(s.alias)).toSet,
+        st.map(_.cardinalities).getOrElse(Map.empty), cols)
     }
-    if (infos.forall(_.samples.isEmpty)) scala.Left("no samples prepared")
+    if (infos.isEmpty) scala.Left("no base tables")
+    else if (infos.forall(_.samples.isEmpty)) scala.Left("no samples prepared")
     else scala.Right(infos)
   }
 
-  /** Execute each consolidated block's rewritten SQL and join the results
-    * on the grouping columns.
+  /** Runs the rewritten statement. The answer has the query's columns in
+    * order, then the error columns when configured. With an accuracy
+    * requirement, the High-level Accuracy Contract (Section 2.4) checks the
+    * statement's rows: if any estimated relative error violates it, the
+    * original query reruns exactly; otherwise those rows are the answer, so
+    * the statement runs once.
     */
-  private def executePlan(q: FlatQuery, plan: Plan,
-                          qseed: Long): Either[String, VerdictResult] = {
-    val aggs = q.allAggs
-    // map each block to the select items whose aggregates it owns
-    val itemsOf: Map[Int, Seq[SelectItem]] = plan.blocks.zipWithIndex.map {
-      case (blk, bi) =>
-        val blockAggs = blk.aggIdxs.map(aggs)
-        bi -> q.aggItems.filter(it => it.expr.aggs.forall(blockAggs.contains))
-    }.toMap
-    // items whose aggregates straddle blocks are unsupported; fall back
-    val covered = itemsOf.values.flatten.toSet
-    if (!q.aggItems.forall(covered.contains))
-      return scala.Left("select item mixes aggregates from different sample plans")
-
-    var acc: Option[(DataFrame, Map[String, String], Seq[String])] = None
-    for ((blk, bi) <- plan.blocks.zipWithIndex) {
-      val sub = q.copy(select = q.plainItems ++ itemsOf(bi),
-        orderBy = if (plan.blocks.size == 1) q.orderBy else Seq.empty,
-        limit = if (plan.blocks.size == 1) q.limit else None)
-      Rewriter.rewrite(sub, blk.choices, qseed + bi) match {
-        case scala.Left(r) => return scala.Left(r)
-        case scala.Right(rw) =>
-          val df = spark.sql(rw.sql)
-          acc = acc match {
-            case None => Some((df, rw.errColumns, Seq(rw.sql)))
-            case Some((prev, errs, sqls)) =>
-              val groupCols = q.plainItems.map(_.alias)
-              val joined = if (groupCols.isEmpty) prev.crossJoin(df)
-                           else prev.join(df, groupCols)
-              Some((joined, errs ++ rw.errColumns, sqls :+ rw.sql))
-          }
-      }
-    }
-    val (df0, errCols, sqls) = acc.get
-    // project to original column order (+ error columns when configured)
-    val ordered = q.select.map(_.alias) ++
-      (if (config.errorColumns) q.select.flatMap(i => errCols.get(i.alias)) else Seq.empty)
-    val df = df0.select(ordered.map(col): _*)
-    scala.Right(VerdictResult(df, approximate = true, Some(sqls.mkString(";\n")),
-      if (config.errorColumns) errCols else Map.empty))
-  }
-
-  /** High-level Accuracy Contract (Section 2.4): if the user set an accuracy
-    * requirement and any estimated relative error violates it, rerun the
-    * original query exactly.
-    */
-  private def hacCheck(query: String, r: VerdictResult): VerdictResult =
+  private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten,
+                  notes: String): VerdictResult = {
+    val stmt    = spark.sql(rw.sql)
+    val errCols = if (config.errorColumns) rw.errColumns else Map.empty[String, String]
+    val out     = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
+    def answer(df: DataFrame) =
+      VerdictResult(df.select(out.map(col): _*), approximate = true, Some(rw.sql), errCols, notes)
     config.accuracyRequirement match {
-      case None => r
+      case None => answer(stmt)
       case Some(maxRelErr) =>
         val z = Stats.normalQuantile(1 - (1 - config.confidence) / 2)
-        val rows = r.df.collect()
-        val violated = rows.exists { row =>
-          r.errColumns.exists { case (estCol, errCol) =>
-            val est = Option(row.getAs[Any](estCol)).map(_.toString.toDouble)
-            val err = Option(row.getAs[Any](errCol)).map(_.toString.toDouble)
-            (est, err) match {
-              case (Some(e), Some(s)) if e != 0.0 => z * s / math.abs(e) > maxRelErr
-              case _                              => false
-            }
+        def num(v: Any) = Option(v).map(_.toString.toDouble)
+        val rows = stmt.collect()
+        val violated = rows.exists(row => rw.errColumns.exists { case (estCol, errCol) =>
+          (num(row.getAs[Any](estCol)), num(row.getAs[Any](errCol))) match {
+            case (Some(e), Some(s)) => e != 0.0 && z * s / math.abs(e) > maxRelErr
+            case _                  => false
           }
-        }
-        if (violated)
-          passthrough(query, s"HAC violated (> $maxRelErr rel err): exact rerun")
-        else r
+        })
+        if (violated) passthrough(query, s"HAC violated (> $maxRelErr rel err): exact rerun")
+        else answer(spark.createDataFrame(rows.toSeq.asJava, stmt.schema))
     }
+  }
 }

@@ -1,6 +1,6 @@
 package repro.exp
 
-import java.nio.file.{Files, Paths}
+import java.io.File
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
@@ -18,7 +18,8 @@ import repro.data.InstaData
   */
 object BenchData {
 
-  val DefaultDir = "/root/repo/data"
+  /** Relative to the working directory: generated data is build output. */
+  val DefaultDir = "target/bench-data"
 
   final case class Env(spark: SparkSession, verdict: Verdict, sf: Double,
                        dir: String)
@@ -45,7 +46,8 @@ object BenchData {
                            tables: Seq[String] = tpchTables ++ instaTables): Unit = {
     for (t <- tables) {
       val p = path(dir, sf, t)
-      if (!Files.exists(Paths.get(p)))
+      // written means a Parquet part file, not just a `_SUCCESS` marker
+      if (!Option(new File(p).list()).exists(_.exists(f => f.startsWith("part-") && f.endsWith(".parquet"))))
         generator(spark, t, sf).write.mode("overwrite").parquet(p)
       spark.read.parquet(p).createOrReplaceTempView(t)
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import repro.core.SamplePlanner.{TableChoice, UseSample}
+import repro.core.SamplePlanner.{PlanBlock, TableChoice, UseBase, UseSample}
 
 /** The AQP rewriter (Sections 4–5, Appendix G).
   *
@@ -296,5 +296,28 @@ class RewriterSpec extends SparkSpec {
     val row = approx(vExact, q).df.head()
     assert(row.getAs[Any]("n").toString.toDouble == 0.0, row)
     assert(row.isNullAt(row.fieldIndex("total")), row)
+  }
+
+  test("count-distinct over two sampled sources is declined") {
+    val q = "SELECT count(distinct l_orderkey) AS cd FROM lineitem_s, orders_s " +
+      "WHERE l_orderkey = o_orderkey"
+    val choices = Map("lineitem_s" -> sampleOf("lineitem_s", SampleType.Hashed),
+      "orders_s" -> sampleOf("orders_s", SampleType.Hashed))
+    val r = Rewriter.rewrite(vSampled.parse(q).toOption.get, choices, seed = 3)
+    assert(r.swap.exists(_.contains("count-distinct")), r)
+  }
+
+  test("a plan block of base tables runs exactly inside the joined statement") {
+    val q = vExact.parse("SELECT l_returnflag, count(*) AS c, count(distinct l_orderkey) AS cd " +
+      "FROM lineitem GROUP BY l_returnflag").toOption.get
+    val blocks = Seq(
+      PlanBlock(Seq(0), Map("lineitem" -> sampleOf("lineitem", SampleType.Uniform, vExact)), 1.0),
+      PlanBlock(Seq(1), Map("lineitem" -> UseBase("lineitem", TestData.li.count())), 1.0))
+    val rw = Rewriter.rewritePlan(q, Seq.empty, blocks, seed = 3).toOption.get
+    assert(rw.errColumns == Map("c" -> "c_err"))
+    Oracle.assertEquivalent(spark.sql(rw.sql).select("l_returnflag", "c", "cd"),
+      "SELECT l_returnflag, count(*)::DOUBLE AS c, count(distinct l_orderkey) AS cd " +
+        "FROM lineitem GROUP BY l_returnflag",
+      "lineitem" -> TestData.li)
   }
 }

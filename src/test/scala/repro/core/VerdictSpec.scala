@@ -1,6 +1,14 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicBoolean
+
+import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.sql.util.QueryExecutionListener
+
 import repro.{SparkSpec, SynthData}
+
+import scala.jdk.CollectionConverters._
 
 /** The middleware facade: pass-through behaviour, extreme-statistic
   * decomposition (Section 2.2), HAC (Section 2.4), transparent mode, and
@@ -8,7 +16,43 @@ import repro.{SparkSpec, SynthData}
   */
 class VerdictSpec extends SparkSpec {
 
-  private lazy val vExact = TestData.verdictExact
+  private lazy val vExact   = TestData.verdictExact
+  private lazy val vSampled = TestData.verdictSampled
+
+  /** A Verdict over a 400-row table `name` (g = i % 3, NULL on every 4th
+    * row; x = i) with a uniform sample at `cfg.tau`. */
+  private def tinyVerdict(name: String, cfg: VerdictConfig): Verdict = {
+    import spark.implicits._
+    val df = (1 to 400).map(i => (if (i % 4 == 0) None else Some(i % 3), i.toDouble))
+      .toDF("g", "x")
+    val v = new Verdict(spark, cfg)
+    v.registerTable(name, df)
+    v.createSample(name, SampleType.Uniform, tau = cfg.tau)
+    v
+  }
+
+  /** Plans of the statements the engine ran for `f`, as a
+    * QueryExecutionListener sees them. A marker statement run afterwards
+    * flushes the listener bus, which delivers its events in order. */
+  private def statementsOf(f: => Unit): Seq[SparkPlan] = {
+    val plans  = new ConcurrentLinkedQueue[SparkPlan]
+    val marked = new AtomicBoolean(false)
+    val listener = new QueryExecutionListener {
+      def onSuccess(fn: String, qe: QueryExecution, ns: Long): Unit =
+        if (qe.analyzed.output.exists(_.name == "statements_marker")) marked.set(true)
+        else plans.add(qe.executedPlan)
+      def onFailure(fn: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      f
+      spark.range(1).toDF("statements_marker").collect()
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (!marked.get && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(marked.get, "listener bus did not flush")
+      plans.asScala.toSeq
+    } finally spark.listenerManager.unregister(listener)
+  }
 
   test("non-aggregate queries pass through with exact results") {
     val r = vExact.sql("SELECT l_returnflag FROM lineitem WHERE l_quantity > 49 " +
@@ -136,5 +180,90 @@ class VerdictSpec extends SparkSpec {
     assert(r.approximate)
     val exact = spark.sql("SELECT count(1) AS c FROM lineitem").head().getLong(0)
     assert(math.abs(r.df.head().getAs[Double]("c") - exact) < 1e-6)
+  }
+
+  // ------------------------------------------------ one statement per query --
+
+  test("a multi-block query is one statement; ORDER BY and LIMIT apply to its rows") {
+    val r = vSampled.sql("SELECT l_returnflag, count(distinct l_orderkey) AS cd, " +
+      "percentile(l_quantity, 0.5) AS med FROM lineitem_s GROUP BY l_returnflag " +
+      "ORDER BY l_returnflag LIMIT 2")
+    assert(r.approximate, r.notes)
+    val sql = r.rewrittenSql.get
+    assert(!sql.contains(";") && sql.contains("_hashed_") && sql.contains("_uniform"), sql)
+    assert(r.df.collect().map(_.getString(0)).toSeq == Seq("A", "N"))
+  }
+
+  test("min/max: ORDER BY the extreme alias with LIMIT returns the exact top row") {
+    val q = "SELECT l_returnflag, max(l_extendedprice) AS mx, avg(l_quantity) AS aq " +
+      "FROM lineitem_s GROUP BY l_returnflag ORDER BY mx DESC LIMIT 1"
+    val r = vSampled.sql(q)
+    assert(r.approximate && r.notes.contains("decomposed"), r.notes)
+    val exact = spark.sql(q).head()
+    val rows  = r.df.collect()
+    assert(rows.length == 1)
+    assert(rows.head.getString(0) == exact.getString(0))
+    assert(rows.head.getAs[Double]("mx") == exact.getDouble(1))
+  }
+
+  test("min/max: ORDER BY the mean-like alias orders the rows") {
+    val q = "SELECT l_linenumber, max(l_extendedprice) AS mx, avg(l_quantity) AS aq " +
+      "FROM lineitem GROUP BY l_linenumber ORDER BY aq"
+    val r = vExact.sql(q)
+    assert(r.approximate && r.notes.contains("decomposed"), r.notes)
+    assert(r.df.collect().map(_.getInt(0)).toSeq ==
+      spark.sql(q).collect().map(_.getInt(0)).toSeq)
+  }
+
+  test("min/max: a NULL group key is kept") {
+    val v = tinyVerdict("nullg_t", VerdictConfig(budgetFraction = 1.0, tau = 1.0))
+    val q = "SELECT g, max(x) AS mx, sum(x) AS s FROM nullg_t GROUP BY g"
+    val r = v.sql(q)
+    assert(r.approximate, r.notes)
+    val got = r.df.collect().map(row => Option(row.get(0)) -> row.getAs[Double]("mx")).toMap
+    val want = spark.sql(q).collect().map(row => Option(row.get(0)) -> row.getDouble(1)).toMap
+    assert(want.size == 4 && got == want)
+  }
+
+  test("min/max: grouping by a key the query does not select passes through") {
+    val v = tinyVerdict("hidden_g_t", VerdictConfig(budgetFraction = 1.0, tau = 1.0))
+    val q = "SELECT max(x) AS mx, sum(x) AS s FROM hidden_g_t GROUP BY g"
+    val r = v.sql(q)
+    assert(!r.approximate && r.notes.contains("group key"), r.notes)
+    assert(r.df.count() == 4)
+  }
+
+  test("HAC: with errorColumns = false a violated requirement still reruns exactly") {
+    val v = tinyVerdict("hac_noerr_t", VerdictConfig(budgetFraction = 1.0, tau = 0.2,
+      accuracyRequirement = Some(1e-9), errorColumns = false))
+    val r = v.sql("SELECT sum(x) AS s FROM hac_noerr_t")
+    assert(!r.approximate && r.notes.startsWith("HAC violated"), r.notes)
+    assert(r.df.head().getDouble(0) == 400.0 * 401 / 2)
+  }
+
+  test("HAC: a satisfied requirement answers from the one statement it ran") {
+    val v = tinyVerdict("hac_once_t", VerdictConfig(budgetFraction = 1.0, tau = 1.0,
+      accuracyRequirement = Some(0.5)))
+    var r: VerdictResult = null
+    val plans = statementsOf {
+      r = v.sql("SELECT g, sum(x) AS s FROM hac_once_t GROUP BY g")
+      r.df.collect()
+    }
+    assert(r.approximate, r.notes)
+    // serving the collected rows back is a local scan, not an engine statement
+    val engine = plans.filterNot(_.collectLeaves().forall(_.isInstanceOf[LocalTableScanExec]))
+    assert(engine.size == 1, plans.mkString("\n"))
+    assert(r.df.columns.toSeq == Seq("g", "s", "s_err"))
+  }
+
+  test("a nested query is planned on its inner aggregates") {
+    val q = "SELECT sum(cd) AS t FROM (SELECT l_returnflag, count(distinct l_orderkey) AS cd " +
+      "FROM lineitem_s GROUP BY l_returnflag) x"
+    val r = vSampled.sql(q)
+    assert(r.approximate, r.notes)
+    assert(r.rewrittenSql.get.contains("lineitem_s_hashed_l_orderkey"), r.rewrittenSql)
+    val exact = spark.sql(q).head().getLong(0).toDouble
+    val est   = r.df.head().getAs[Double]("t")
+    assert(math.abs(est - exact) / exact < 0.2, s"$est vs $exact")
   }
 }
