@@ -48,7 +48,6 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     // attach all conditions in WHERE (Catalyst pushes them into the join);
     // this is an *engine-internal* operator in SnappyData, the SQL here is
     // just our host representation.
-    val joined = fromSql
     val conds = q.joinConds.map(_.sql) ++ q.where.map(_.sqlText)
     val whereSql = if (conds.isEmpty) "" else s" WHERE ${conds.mkString(" AND ")}"
     val p = s"${sampledSrc.alias}.${SampleCatalog.ProbCol}"
@@ -64,10 +63,8 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     }
     val groupSql =
       if (q.groupBy.isEmpty) "" else s" GROUP BY ${q.groupBy.map(_.sqlText).mkString(", ")}"
-    val orderSql =
-      if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}"
-    val sql = s"SELECT ${items.mkString(", ")} FROM ${joined.mkString(" CROSS JOIN ")}" +
-      s"$whereSql$groupSql$orderSql${q.limit.map(n => s" LIMIT $n").getOrElse("")}"
+    val sql = s"SELECT ${items.mkString(", ")} FROM ${fromSql.mkString(" CROSS JOIN ")}" +
+      s"$whereSql$groupSql${q.orderLimitSql}"
     Some(spark.sql(sql))
   }
 }

@@ -22,9 +22,11 @@ import repro.core.VariationalSubsampling._
   * estimates from the pooled statistics, error from the spread of the
   * per-cell estimates (`VariationalSubsampling.errSql`).
   *
-  * Joined variational tables get their sid reassigned via Theorem 4's
-  * h(i, j), so a single join suffices (Section 5.1). Aggregate-in-FROM
-  * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2) on the
+  * A sample's sid follows its sampling unit (`unitSidExpr`): a row for a
+  * uniform or stratified sample, a hash key for a hashed one. Joined
+  * variational tables get their sid reassigned via Theorem 4's h(i, j) over
+  * the independently drawn units, so a single join suffices (Section 5.1).
+  * Aggregate-in-FROM queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2) on the
   * same cell table.
   *
   * A query whose plan has several blocks (Appendix E), or min/max items
@@ -138,48 +140,19 @@ object Rewriter {
     // so Theorem 4's h(i,j) grid partitions exactly).
     val b = numSubsamples(sampled.map(s => choices(s.alias).rows).min)
 
-    val distinctAggs = q.allAggs.filter(_.func == AggFuncType.CountDistinct)
-    val hashSidCol: Option[String] = distinctAggs.headOption.map { a =>
-      if (distinctAggs.map(_.argSql).distinct.size > 1)
-        bail("multiple count-distinct columns in one block")
-      // h(i, j) of the hash sid and another source's sid no longer
-      // partitions the distinct column's domain
-      if (sampled.size > 1) bail("count-distinct over more than one sampled source")
-      a.argSql.get
-    }
-
-    // --- L1: per-source subqueries with a vsid column -----------------------
-    val fromSql = {
-      val rendered = sources.map { s =>
-        choices(s.alias) match {
-          case UseBase(name, _) => s"$name AS ${s.alias}"
-          case UseSample(info) =>
-            // count-distinct blocks partition by the hash of the distinct
-            // column (disjoint subdomains); others assign sid uniformly at
-            // random, fresh per query (footnote 7).
-            val sid = hashSidCol match {
-              case Some(col) if info.sampleType == SampleType.Hashed =>
-                s"(1 + pmod(hash(${col.split('.').last}), $b))"
-              case _ => sidExpr(b, seed + s.alias.hashCode)
-            }
-            s"(SELECT *, $sid AS vsid FROM ${info.sampleTable}) AS ${s.alias}"
-        }
-      }
-      joinTree(rendered, sources.map(_.alias), q.joinConds)
-    }
-
-    // --- combined sampling probability -------------------------------------
+    // --- independent sampling units ------------------------------------------
     // Hashed (universe) samples joined on their hash columns share inclusion
-    // events: within such a correlation class the joint probability is
-    // least(tau), not the product (Section 5.1 / Appendix E.1). Classes are
+    // events: such a correlation class is one sampling unit, whose joint
+    // probability is least(tau), not the product (Section 5.1 / Appendix E.1),
+    // and whose sid is any one member's (all hash the same key). Classes are
     // the connected components of hashed sources under join conditions that
-    // touch their hash columns. Everything else is independent -> product.
+    // touch their hash columns. Every other sampled source is a unit of its
+    // own. Units are drawn independently: probabilities multiply and sids
+    // combine by h(i, j).
     val hashedOf: Map[String, SampleInfo] = sampled.flatMap { s =>
       choices(s.alias).sample
         .filter(_.sampleType == SampleType.Hashed).map(s.alias -> _)
     }.toMap
-    val otherSampled = sampled.map(_.alias).filterNot(hashedOf.contains)
-
     val classes: Seq[Seq[String]] = {
       val parent = scala.collection.mutable.Map(hashedOf.keys.map(a => a -> a).toSeq: _*)
       def find(a: String): String =
@@ -195,14 +168,28 @@ object Rewriter {
       }
       hashedOf.keys.toSeq.groupBy(find).values.toSeq
     }
-    val probParts = classes.map { cls =>
-      if (cls.size == 1) s"${cls.head}.${SampleCatalog.ProbCol}"
-      else s"least(${cls.map(a => s"$a.${SampleCatalog.ProbCol}").mkString(", ")})"
-    } ++ otherSampled.map(a => s"$a.${SampleCatalog.ProbCol}")
-    val probSql = probParts.mkString(" * ")
+    val units = classes ++ sampled.map(_.alias).filterNot(hashedOf.contains).map(Seq(_))
+    def prob(a: String) = s"$a.${SampleCatalog.ProbCol}"
+    val probSql = units.map(u =>
+      if (u.size == 1) prob(u.head) else s"least(${u.map(prob).mkString(", ")})").mkString(" * ")
+    val sidSql = units.map(u => s"${u.head}.vsid").reduceLeft(hExpr(_, _, b))
 
-    val sidSql = sampled.map(s => s"${s.alias}.vsid")
-      .reduceLeft((acc, next) => hExpr(acc, next, b))
+    // a distinct count per sid needs the sid to partition the distinct
+    // column's domain: one hashed unit, by the planner's sample choice
+    val distinctArgs = q.allAggs.filter(_.func == AggFuncType.CountDistinct).map(_.argSql).distinct
+    if (distinctArgs.size > 1) bail("multiple count-distinct columns in one block")
+    if (distinctArgs.nonEmpty && units.size > 1)
+      bail("count-distinct over more than one independent sampling unit")
+
+    // --- L1: per-source subqueries with a vsid column -----------------------
+    val fromSql = joinTree(sources.map { s =>
+      choices(s.alias) match {
+        case UseBase(name, _) => s"$name AS ${s.alias}"
+        case UseSample(info)  =>
+          s"(SELECT *, ${unitSidExpr(info, b, seed + s.alias.hashCode)} AS vsid " +
+            s"FROM ${info.sampleTable}) AS ${s.alias}"
+      }
+    }, sources.map(_.alias), q.joinConds)
 
     // --- L2: per-(group, sid) statistics -------------------------------------
     val calls = q.allAggs.distinct

@@ -10,10 +10,10 @@ import repro.core.Ast._
   * aggregates are computed in one pass. Each consolidated plan gets
   *   score = sqrt(mean effective sampling ratio) * advantage factors
   *   cost  = total tuples across its (aggregate-group -> samples) entries
-  * and the highest-scoring plan within budget wins. If none fits (or the
-  * grouping attributes are too high-cardinality for sampling to help), the
-  * planner falls back to base tables — i.e., no AQP, reproducing the
-  * paper's behaviour on tq-3/tq-8/tq-15.
+  * and the highest-scoring plan within budget wins, the cheaper on a tie.
+  * If none fits (or the grouping attributes are too high-cardinality for
+  * sampling to help), the planner falls back to base tables — i.e., no AQP,
+  * reproducing the paper's behaviour on tq-3/tq-8/tq-15.
   */
 object SamplePlanner {
 
@@ -191,7 +191,7 @@ object SamplePlanner {
     }
 
     val within = candidates.filter(p => p.usesSampling && p.cost <= budget)
-    if (within.isEmpty) None else Some(within.maxBy(_.score))
+    if (within.isEmpty) None else Some(within.maxBy(p => (p.score, -p.cost)))
   }
 
   /** score = sqrt(mean effective ratio) * stratified-advantage factor. */

@@ -5,9 +5,10 @@ package repro.core
   * A variational table is a sample table with an extra `sid` column: each
   * tuple belongs to at most one subsample. With the paper's defaults
   * (n_s = sqrt(n), hence b = n/n_s = sqrt(n) and b*n_s = n) every tuple is
-  * assigned a sid in [1, b] and none is discarded. For joins, Theorem 4
-  * reassigns sid = h(i, j) so that a single join of the two variational
-  * tables is a variational table of the join.
+  * assigned a sid in [1, b] and none is discarded; the rows of one sampling
+  * unit share a sid. For joins, Theorem 4 reassigns sid = h(i, j) so that a
+  * single join of two independently drawn variational tables is a
+  * variational table of the join.
   */
 object VariationalSubsampling {
 
@@ -37,6 +38,21 @@ object VariationalSubsampling {
     */
   def sidExpr(b: Int, seed: Long): String =
     s"(1 + CAST(floor(rand($seed) * $b) AS INT))"
+
+  /** The sid of a sample's rows: a function of its sampling unit, so that
+    * every subsample holds whole units, as the random-group variance method
+    * requires (Wolter, Introduction to Variance Estimation, ch. 2). A hashed
+    * (universe) sample draws join keys and keeps all rows of a drawn key, so
+    * its sid hashes the key columns, which also partitions the key's domain
+    * as a count-distinct over the key needs. A uniform or stratified sample
+    * draws rows: a `sidExpr` sid per row. The hash sid is not salted per
+    * query, so a key lands in the same sid in every query (a deviation from
+    * footnote 7).
+    */
+  def unitSidExpr(info: SampleInfo, b: Int, seed: Long): String = info.sampleType match {
+    case SampleType.Hashed => s"(1 + pmod(hash(${info.columns.mkString(", ")}), $b))"
+    case _                 => sidExpr(b, seed)
+  }
 
   /** Theorem 4's h(i, j): maps the (i, j) sid pair of a joined tuple to the
     * sid of the joined subsample, using the sqrt(b) x sqrt(b) block grid.

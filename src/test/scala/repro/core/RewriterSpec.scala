@@ -302,9 +302,23 @@ class RewriterSpec extends SparkSpec {
     val q = "SELECT count(distinct l_orderkey) AS cd FROM lineitem_s, orders_s " +
       "WHERE l_orderkey = o_orderkey"
     val choices = Map("lineitem_s" -> sampleOf("lineitem_s", SampleType.Hashed),
-      "orders_s" -> sampleOf("orders_s", SampleType.Hashed))
+      "orders_s" -> sampleOf("orders_s", SampleType.Uniform))
     val r = Rewriter.rewrite(vSampled.parse(q).toOption.get, choices, seed = 3)
     assert(r.swap.exists(_.contains("count-distinct")), r)
+  }
+
+  test("count-distinct over hashed x hashed on the hash key is exact at tau=1") {
+    // both samples hash the order key: one sampling unit, one hash sid
+    val join = "FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY o_orderstatus"
+    val choices = Map("lineitem" -> sampleOf("lineitem", SampleType.Hashed, vExact),
+      "orders" -> sampleOf("orders", SampleType.Hashed, vExact))
+    val rw = Rewriter.rewrite(vExact.parse(
+      s"SELECT o_orderstatus, count(distinct l_orderkey) AS cd $join").toOption.get,
+      choices, seed = 3)
+    assert(rw.isRight, rw)
+    Oracle.assertEquivalent(spark.sql(rw.toOption.get.sql).select("o_orderstatus", "cd"),
+      s"SELECT o_orderstatus, count(distinct l_orderkey)::DOUBLE AS cd $join",
+      "lineitem" -> TestData.li, "orders" -> TestData.od)
   }
 
   test("a plan block of base tables runs exactly inside the joined statement") {

@@ -182,6 +182,17 @@ class SamplePlannerSpec extends AnyFunSuite {
     assert(ordersChoices.contains(UseSample(many.last)))
   }
 
+  test("among equal scores the plan reading fewer tuples wins") {
+    // the hashed and the uniform sample have the same ratio, so the mean-like
+    // aggregate scores the same on either; the percentile needs the uniform
+    // one, and sharing it makes one block of half the cost
+    val src = srcOrders.copy(samples = Seq(ordersHash, ordersUni))
+    val plan = SamplePlanner.plan(Seq(avgPrice, AggCall(Percentile(0.5), Some("price"))),
+      Seq(src), Seq.empty).get
+    assert(plan.blocks.map(_.choices("orders")) == Seq(UseSample(ordersUni)), plan)
+    assert(plan.cost == ordersUni.sampleRows, plan)
+  }
+
   test("single-table queries skip join constraints entirely") {
     val combos = combosFor(MeanLike, Seq(srcOrders), Config())
     // uniform and hashed both allowed alone, plus base
