@@ -40,31 +40,17 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     val (sampledSrc, infos) = candidates.head
     val info = infos.maxBy(_.sampleRows)
 
-    val fromSql = sources.map { s =>
-      if (s.alias == sampledSrc.alias) s"${info.sampleTable} AS ${s.alias}"
-      else if (s.name == s.alias) s.name
-      else s"${s.name} AS ${s.alias}"
-    }
-    // attach all conditions in WHERE (Catalyst pushes them into the join);
-    // this is an *engine-internal* operator in SnappyData, the SQL here is
-    // just our host representation.
-    val conds = q.joinConds.map(_.sql) ++ q.where.map(_.sqlText)
-    val whereSql = if (conds.isEmpty) "" else s" WHERE ${conds.mkString(" AND ")}"
     val p = s"${sampledSrc.alias}.${SampleCatalog.ProbCol}"
 
     // one-level HT aggregates: each statistic over all rows, at scale 1;
-    // distinct counts stay unscaled, as no hashed sample is ever chosen
+    // distinct counts stay unscaled, as no hashed sample is ever chosen.
+    // The SQL is just our host representation of what is an engine-internal
+    // operator in SnappyData.
     def htAgg(c: AggCall): String =
       CellStats.estimate(c, CellStats.statSql(c, _, p), "1", distinctTau = None)
 
-    val items = q.select.map { it =>
-      if (it.expr.aggs.isEmpty) s"${it.expr.asInstanceOf[Raw].sqlText} AS ${it.alias}"
-      else s"${it.expr.render(htAgg)} AS ${it.alias}"
-    }
-    val groupSql =
-      if (q.groupBy.isEmpty) "" else s" GROUP BY ${q.groupBy.map(_.sqlText).mkString(", ")}"
-    val sql = s"SELECT ${items.mkString(", ")} FROM ${fromSql.mkString(" CROSS JOIN ")}" +
-      s"$whereSql$groupSql${q.orderLimitSql}"
-    Some(spark.sql(sql))
+    Some(spark.sql(q.sql(
+      s => if (s.alias == sampledSrc.alias) s"${info.sampleTable} AS ${s.alias}" else s.sqlExact,
+      htAgg)))
   }
 }

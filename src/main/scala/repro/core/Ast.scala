@@ -90,7 +90,14 @@ object Ast {
   }
 
   /** A relation in the FROM clause. */
-  sealed trait Source { def alias: String }
+  sealed trait Source {
+    def alias: String
+    /** Render this source as it appears in the original (exact) query. */
+    def sqlExact: String = this match {
+      case BaseTable(n, a)    => if (n == a) n else s"$n AS $a"
+      case DerivedTable(q, a) => s"(${q.sqlExact}) AS $a"
+    }
+  }
   /** Base table reference; `alias` defaults to the table name. */
   final case class BaseTable(name: String, alias: String) extends Source
   /** Derived table: a flat aggregate query in the FROM clause (Section 5.2). */
@@ -127,17 +134,25 @@ object Ast {
     def hasExtreme: Boolean         = allAggs.exists(_.func.isExtreme)
 
     /** Render the original (exact) SQL for this query. */
-    def sqlExact: String = {
-      val sel = select.map(i => s"${i.expr.sqlExact} AS ${i.alias}").mkString(", ")
-      val fromSql = from.map {
-        case BaseTable(n, a)    => if (n == a) n else s"$n AS $a"
-        case DerivedTable(q, a) => s"(${q.sqlExact}) AS $a"
-      }.mkString(", ")
-      val conds = joinConds.map(_.sql) ++ where.map(_.sqlText)
-      val w  = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
+    def sqlExact: String = sql(_.sqlExact, _.sqlExact)
+
+    /** Render this query with each source rendered by `source` and each
+      * aggregate call by `call`: select items, `fromWhereSql`, GROUP BY,
+      * HAVING, ORDER BY and LIMIT. */
+    def sql(source: Source => String, call: AggCall => String): String = {
+      val sel = select.map(i => s"${i.expr.render(call)} AS ${i.alias}").mkString(", ")
       val g  = if (groupBy.nonEmpty) s" GROUP BY ${groupBy.map(_.sqlText).mkString(", ")}" else ""
-      val h  = having.map(e => s" HAVING ${e.sqlExact}").getOrElse("")
-      s"SELECT $sel FROM $fromSql$w$g$h$orderLimitSql"
+      val h  = having.map(e => s" HAVING ${e.render(call)}").getOrElse("")
+      s"SELECT $sel${fromWhereSql(source)}$g$h$orderLimitSql"
+    }
+
+    /** This query's FROM and WHERE clauses, with a leading space: the
+      * sources rendered by `source` and comma-joined, then the join
+      * conditions and the filter. The engine plans the joins. */
+    def fromWhereSql(source: Source => String): String = {
+      val conds = joinConds.map(_.sql) ++ where.map(_.sqlText)
+      val w = if (conds.nonEmpty) s" WHERE ${conds.mkString(" AND ")}" else ""
+      s" FROM ${from.map(source).mkString(", ")}$w"
     }
 
     /** This query's ORDER BY and LIMIT clauses, each with a leading space. */

@@ -18,7 +18,8 @@ import repro.core.Ast._
   */
 object CatalystConverter {
 
-  /** Resolves an unqualified column to the alias of its owning source. */
+  /** The columns of a table, by name; used to resolve an unqualified column
+    * to the source that owns it. */
   type SchemaLookup = String => Option[Seq[String]]
 
   private val aggNames = Set("count", "sum", "avg", "mean", "min", "max",
@@ -130,10 +131,13 @@ object CatalystConverter {
         a.nameParts match {
           case Seq(q, c) => Some((q, c))
           case Seq(c) =>
-            val owners = sources.result().flatMap { s =>
-              lookup(s.alias).filter(_.exists(_.equalsIgnoreCase(c))).map(_ => s.alias)
+            // a base table's columns come from its name (its alias names no
+            // table), a derived table's from its select aliases
+            val owners = sources.result().filter {
+              case BaseTable(name, _) => lookup(name).exists(_.exists(_.equalsIgnoreCase(c)))
+              case DerivedTable(q, _) => q.select.exists(_.alias.equalsIgnoreCase(c))
             }
-            owners match { case Seq(one) => Some((one, c)); case _ => None }
+            owners match { case Seq(one) => Some((one.alias, c)); case _ => None }
           case _ => None
         }
       case _ => None

@@ -14,7 +14,8 @@ import repro.core.VariationalSubsampling._
   * cell table, the variational table of the paper's Query 9:
   *
   *  L1  per-source subqueries: the sample table, aliased by the original
-  *      table name, augmented with a `vsid` subsample-id column
+  *      table name, augmented with a `vsid` subsample-id column, in the
+  *      query's own FROM and WHERE (`FlatQuery.fromWhereSql`)
   *  L2  GROUP BY (group-cols, combined-sid): one row per cell with its
   *      sufficient statistics (`CellStats`) and its size `vsub_size`
   *
@@ -132,8 +133,8 @@ object Rewriter {
     */
   private def cells(q: FlatQuery, choices: Map[String, TableChoice], seed: Long,
                     groupRows: Boolean): Cells = {
-    val sources = q.from.collect { case b: BaseTable => b }
-    val sampled = sources.filter(s => choices(s.alias).sample.isDefined)
+    if (!q.from.forall(_.isInstanceOf[BaseTable])) bail("derived table inside a sampled block")
+    val sampled = q.from.filter(s => choices(s.alias).sample.isDefined)
     if (sampled.isEmpty) bail("no sampled source in choice; run exact instead")
 
     // Shared number of subsamples across all sampled sources (perfect square
@@ -174,22 +175,29 @@ object Rewriter {
       if (u.size == 1) prob(u.head) else s"least(${u.map(prob).mkString(", ")})").mkString(" * ")
     val sidSql = units.map(u => s"${u.head}.vsid").reduceLeft(hExpr(_, _, b))
 
-    // a distinct count per sid needs the sid to partition the distinct
-    // column's domain: one hashed unit, by the planner's sample choice
+    // a distinct count scales by the drawn fraction of the distinct column's
+    // domain, and its sid must partition that domain: so the block's one
+    // unit is a hashed class with a member hashed on exactly that column
+    // (compared by its last name part, as the planner's `classOf` does); the
+    // class keeps a key with probability least(tau)
     val distinctArgs = q.allAggs.filter(_.func == AggFuncType.CountDistinct).map(_.argSql).distinct
     if (distinctArgs.size > 1) bail("multiple count-distinct columns in one block")
-    if (distinctArgs.nonEmpty && units.size > 1)
-      bail("count-distinct over more than one independent sampling unit")
+    val distinctTau = distinctArgs.flatten.headOption.map { arg =>
+      val key = Seq(arg.split('.').last.toLowerCase)
+      units match {
+        case Seq(u) if u.exists(hashedOf.get(_).exists(_.columns.map(_.toLowerCase) == key)) =>
+          u.map(hashedOf(_).tau).min
+        case _ => bail("count-distinct needs its one sampling unit hashed on the distinct column")
+      }
+    }
 
     // --- L1: per-source subqueries with a vsid column -----------------------
-    val fromSql = joinTree(sources.map { s =>
-      choices(s.alias) match {
-        case UseBase(name, _) => s"$name AS ${s.alias}"
-        case UseSample(info)  =>
-          s"(SELECT *, ${unitSidExpr(info, b, seed + s.alias.hashCode)} AS vsid " +
-            s"FROM ${info.sampleTable}) AS ${s.alias}"
-      }
-    }, sources.map(_.alias), q.joinConds)
+    def l1(s: Source): String = choices(s.alias) match {
+      case UseBase(name, _) => s"$name AS ${s.alias}"
+      case UseSample(info)  =>
+        s"(SELECT *, ${unitSidExpr(info, b, seed + s.alias.hashCode)} AS vsid " +
+          s"FROM ${info.sampleTable}) AS ${s.alias}"
+    }
 
     // --- L2: per-(group, sid) statistics -------------------------------------
     val calls = q.allAggs.distinct
@@ -198,45 +206,14 @@ object Rewriter {
       .map(st => s"${CellStats.statSql(c, st, probSql)} AS ${col(c, st)}"))
     val groups = q.groupBy.map(_.sqlText)
     val groupSelect = groups.zipWithIndex.map { case (g, i) => s"$g AS g_$i" }
-    val whereSql = q.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
     val cellKey = (groups :+ sidSql).mkString(", ")
     val groupBy =
       if (groupRows) s"GROUPING SETS (($cellKey), (${groups.mkString(", ")}))" else cellKey
     val sql =
       s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size"
-        ).++(statCols).mkString(", ")} " +
-      s"FROM $fromSql$whereSql GROUP BY $groupBy"
-    Cells(sql, b, Some(distinctTau(choices)), col)
-  }
-
-  /** Domain fraction tau for count-distinct: the hashed sample's parameter. */
-  private def distinctTau(choices: Map[String, TableChoice]): Double =
-    choices.values.collectFirst {
-      case UseSample(i) if i.sampleType == SampleType.Hashed => i.tau
-    }.getOrElse(1.0)
-
-  /** Render `a JOIN b ON ... JOIN c ON ...`, attaching each equi-join
-    * condition once both of its sides are in the tree; conditions spanning
-    * not-yet-joined sources fall into the WHERE clause by the caller
-    * (none in practice for our workloads).
-    */
-  private def joinTree(rendered: Seq[String], aliases: Seq[String],
-                       conds: Seq[JoinCond]): String = {
-    if (rendered.size == 1) return rendered.head
-    var inTree   = Set(aliases.head)
-    var sql      = rendered.head
-    var pending  = conds
-    for (i <- 1 until rendered.size) {
-      val a = aliases(i)
-      inTree += a
-      val (ready, rest) = pending.partition(c =>
-        inTree.contains(c.leftAlias) && inTree.contains(c.rightAlias))
-      pending = rest
-      val on = if (ready.isEmpty) "(1 = 1)" else ready.map(_.sql).mkString(" AND ")
-      sql = s"$sql JOIN ${rendered(i)} ON $on"
-    }
-    if (pending.nonEmpty) bail(s"join condition not attachable: ${pending.head.sql}")
-    sql
+        ).++(statCols).mkString(", ")}" +
+      s"${q.fromWhereSql(l1)} GROUP BY $groupBy"
+    Cells(sql, b, distinctTau, col)
   }
 
   /** The select column of a plain (group) item: the alias `g_i` of the
@@ -326,8 +303,7 @@ object Rewriter {
     def o(call: AggCall) = s"o_${calls.indexOf(call)}"
     val l4Cols = outerGroups.zipWithIndex.map { case (g, i) => s"$g AS g_$i" } ++
       ("vsid" +: calls.map(call => s"${call.sqlExact} AS ${o(call)}"))
-    val whereSql = outer.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-    val l4 = s"SELECT ${l4Cols.mkString(", ")} FROM ($l3) $alias$whereSql " +
+    val l4 = s"SELECT ${l4Cols.mkString(", ")}${outer.fromWhereSql(_ => s"($l3) $alias")} " +
       s"GROUP BY ${(outerGroups :+ "vsid").mkString(", ")}"
     // A global outer query whose WHERE drops every point row still returns
     // one row, holding each aggregate's value over no rows: 0 for counts.

@@ -27,9 +27,13 @@ object SampleCreator {
   def uniform(df: DataFrame, baseTable: String, tau: Double,
               seed: Long = 7): (DataFrame, SampleInfo) = {
     require(tau > 0 && tau <= 1, s"tau out of (0,1]: $tau")
+    // |T| and |T_s| in one aggregate over the same draw; the draw is
+    // projected first, as an aggregate takes no nondeterministic argument
+    val counts = df.select((rand(seed) < tau).as("in_sample"))
+      .agg(count(lit(1)), count(when(col("in_sample"), 1))).head()
     val s = df.where(rand(seed) < tau).withColumn(ProbCol, lit(tau))
     val info = SampleInfo(baseTable, s"${baseTable}_uniform", SampleType.Uniform,
-      Seq.empty, tau, df.count(), s.count())
+      Seq.empty, tau, counts.getLong(0), counts.getLong(1))
     (s, info)
   }
 
@@ -96,13 +100,12 @@ object SampleCreator {
       case SampleType.Stratified => stratified(df, baseTable, columns, tau)
     }
 
-  /** Materialize a sample as a temp view and register its metadata. Returns
-    * the (possibly cached) sample DataFrame.
+  /** Materialize a sample as a cached temp view and register its metadata.
+    * Returns the cached sample DataFrame.
     */
   def registerSample(spark: SparkSession, catalog: SampleCatalog,
-                     sample: DataFrame, info: SampleInfo,
-                     cache: Boolean = false): DataFrame = {
-    val s = if (cache) sample.cache() else sample
+                     sample: DataFrame, info: SampleInfo): DataFrame = {
+    val s = sample.cache()
     s.createOrReplaceTempView(info.sampleTable)
     catalog.register(info)
     s

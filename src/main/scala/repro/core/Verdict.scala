@@ -77,10 +77,10 @@ final class Verdict(val spark: SparkSession,
   /** Create and register one sample of the given type. */
   def createSample(baseTable: String, sampleType: SampleType,
                    columns: Seq[String] = Seq.empty,
-                   tau: Double = config.tau, cache: Boolean = true): SampleInfo = {
+                   tau: Double = config.tau): SampleInfo = {
     val (sdf, info) = SampleCreator.create(spark.table(baseTable), baseTable, sampleType,
       columns, tau, Some(config.seed))
-    SampleCreator.registerSample(spark, catalog, sdf, info, cache)
+    SampleCreator.registerSample(spark, catalog, sdf, info)
     info
   }
 
@@ -112,8 +112,8 @@ final class Verdict(val spark: SparkSession,
 
   // ---------------------------------------------------------- query rewrite
 
-  private def schemaLookup: CatalystConverter.SchemaLookup = { alias =>
-    try Some(spark.table(alias).columns.toSeq)
+  private def schemaLookup: CatalystConverter.SchemaLookup = { table =>
+    try Some(spark.table(table).columns.toSeq)
     catch { case _: Exception => None }
   }
 

@@ -1,19 +1,20 @@
 package repro.baselines
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.core.SampleCatalog.ProbCol
 
 import scala.util.Random
 
-/** The comparator systems: CLT closed forms, traditional subsampling and
-  * consolidated bootstrap in SQL, driver-side statistical references, and
-  * the tightly-integrated AQP engine.
+/** The comparator systems: traditional subsampling and consolidated
+  * bootstrap in SQL, driver-side statistical references (CLT among them),
+  * and the tightly-integrated AQP engine.
   */
 class BaselinesSpec extends SparkSpec {
 
   private lazy val sampleView: (Long, Double) = {
     val li = TestData.li
+    li.createOrReplaceTempView("lineitem")
     val (s, info) = SampleCreator.uniform(li, "lineitem", 0.2, seed = 19)
     s.cache().createOrReplaceTempView("bl_sample")
     (info.sampleRows, info.ratio)
@@ -23,31 +24,6 @@ class BaselinesSpec extends SparkSpec {
     spark.sql("SELECT sum(l_quantity) AS s FROM lineitem").head().getDouble(0)
   private lazy val exactAvgQty: Double =
     spark.sql("SELECT avg(l_quantity) AS a FROM lineitem").head().getDouble(0)
-
-  test("CLT avg estimate is close with a sane stderr") {
-    TestData.li.createOrReplaceTempView("lineitem")
-    val (n, _) = sampleView
-    val e = CltEstimator.avg(spark, spark.table("bl_sample"), "l_quantity")
-    assert(math.abs(e.value - exactAvgQty) / exactAvgQty < 0.05)
-    assert(e.stderr > 0 && e.stderr < 1.0)
-    val (lo, hi) = e.ci()
-    assert(lo < e.value && e.value < hi)
-  }
-
-  test("CLT sum estimate scales by the sampling ratio") {
-    val (_, ratio) = sampleView
-    val e = CltEstimator.sum(spark, spark.table("bl_sample"), "l_quantity", ratio)
-    assert(math.abs(e.value - exactSumQty) / exactSumQty < 0.05, s"${e.value}")
-  }
-
-  test("CLT count estimate via a predicate") {
-    val (_, ratio) = sampleView
-    val e = CltEstimator.count(spark, spark.table("bl_sample"), "l_quantity < 25", ratio)
-    val exact = spark.sql(
-      "SELECT count(*) AS c FROM lineitem WHERE l_quantity < 25").head().getLong(0)
-    assert(math.abs(e.value - exact) / exact < 0.1, s"${e.value} vs $exact")
-    assert(e.stderr > 0)
-  }
 
   test("traditional subsampling in SQL: estimate, CI, and b subsamples") {
     val (n, _) = sampleView
@@ -164,6 +140,18 @@ class BaselinesSpec extends SparkSpec {
           s"${e.getString(0)} column $i: ${got.getDouble(i)} vs ${e.getDouble(i)}")
       }
     }
+  }
+
+  test("integrated AQP applies HAVING to its estimates (exact at tau=1)") {
+    val ve = TestData.verdictExact
+    val integrated = new IntegratedAqp(spark, ve.catalog,
+      t => ve.tableStats(t).map(_.rows).getOrElse(0L))
+    val q = "SELECT l_returnflag, sum(l_quantity) AS s FROM lineitem " +
+      "GROUP BY l_returnflag HAVING count(*) > 4000"
+    Oracle.assertEquivalent(integrated.run(ve.parse(q).toOption.get).get,
+      "SELECT l_returnflag, sum(l_quantity::DOUBLE) AS s FROM lineitem " +
+        "GROUP BY l_returnflag HAVING count(*) > 4000",
+      "lineitem" -> TestData.li)
   }
 
   test("integrated AQP declines extreme statistics and unsupported shapes") {

@@ -96,6 +96,13 @@ class CatalystConverterSpec extends SparkSpec {
     assert(q.from.map(_.alias) == Seq("l", "o"))
   }
 
+  test("unqualified columns of aliased tables resolve join ownership") {
+    val q = parsed(
+      "SELECT count(*) AS c FROM lineitem l, orders o WHERE l_orderkey = o_orderkey")
+    assert(q.joinConds == Seq(JoinCond("l", "l_orderkey", "o", "o_orderkey")))
+    assert(q.where.isEmpty)
+  }
+
   test("ORDER BY and LIMIT are captured") {
     val q = parsed(
       "SELECT l_returnflag, count(*) AS c FROM lineitem GROUP BY l_returnflag " +

@@ -334,4 +334,20 @@ class RewriterSpec extends SparkSpec {
         "FROM lineitem GROUP BY l_returnflag",
       "lineitem" -> TestData.li)
   }
+
+  test("count-distinct passes through unless its sampling unit hashes the distinct column") {
+    // lineitem_p has no sample on l_partkey, so the planner may read it
+    // whole and sample orders_p, hashed on o_orderkey: a sampling unit that
+    // draws orders, not parts
+    val v = new Verdict(spark, VerdictConfig(budgetFraction = 1.0, tau = 0.1))
+    v.registerTable("lineitem_p", TestData.li)
+    v.registerTable("orders_p", TestData.od)
+    v.createSample("lineitem_p", SampleType.Hashed, Seq("l_orderkey"))
+    v.createSample("orders_p", SampleType.Hashed, Seq("o_orderkey"))
+    val q = "SELECT count(distinct l_partkey) AS cd FROM lineitem_p, orders_p " +
+      "WHERE l_orderkey = o_orderkey"
+    val r = v.sql(q)
+    assert(!r.approximate, r.rewrittenSql)
+    assert(r.df.head().getLong(0) == spark.sql(q).head().getLong(0))
+  }
 }

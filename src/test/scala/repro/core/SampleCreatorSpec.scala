@@ -1,5 +1,8 @@
 package repro.core
 
+import java.nio.file.Files
+
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.functions._
 
 import repro.SparkSpec
@@ -24,6 +27,18 @@ class SampleCreatorSpec extends SparkSpec {
   test("uniform sample is a subset of the base table") {
     val (s, _) = SampleCreator.uniform(li, "lineitem", 0.05)
     assert(s.drop(ProbCol).exceptAll(li).count() == 0)
+  }
+
+  test("uniform sample counts the rows of its own draw over Parquet") {
+    val dir = Files.createTempDirectory("uniform-sample")
+    try {
+      li.write.mode("overwrite").parquet(dir.toString)
+      val pq = spark.read.parquet(dir.toString)
+      Seq(1L, 7L, 11L, 42L, 123L).foreach { seed =>
+        val (s, info) = SampleCreator.uniform(pq, "lineitem", 0.1, seed)
+        assert(info.baseRows == n && info.sampleRows == s.count(), s"seed $seed: $info")
+      }
+    } finally FileUtils.deleteDirectory(dir.toFile)
   }
 
   test("uniform sample rejects invalid tau") {

@@ -266,4 +266,17 @@ class VerdictSpec extends SparkSpec {
     val est   = r.df.head().getAs[Double]("t")
     assert(math.abs(est - exact) / exact < 0.2, s"$est vs $exact")
   }
+
+  test("an aliased join reads the same hashed samples as its unaliased twin") {
+    def run(from: String) = vSampled.sql(
+      s"SELECT count(distinct l_orderkey) AS cd FROM $from WHERE l_orderkey = o_orderkey")
+    val (aliased, plain) = (run("lineitem_s l, orders_s o"), run("lineitem_s, orders_s"))
+    assert(aliased.approximate && plain.approximate, aliased.notes)
+    Seq("lineitem_s_hashed_l_orderkey", "orders_s_hashed_o_orderkey").foreach { t =>
+      assert(aliased.rewrittenSql.get.contains(t) && plain.rewrittenSql.get.contains(t),
+        aliased.rewrittenSql)
+    }
+    val (a, p) = (aliased.df.head().getAs[Double]("cd"), plain.df.head().getAs[Double]("cd"))
+    assert(math.abs(a - p) <= 1e-9 * math.abs(p), s"$a vs $p")
+  }
 }
