@@ -2,20 +2,20 @@ package repro.baselines
 
 import scala.util.Random
 
+import repro.baselines.Resampling.{Result, deviation, interval}
 import repro.util.Stats
 
 /** Classical bootstrap and traditional subsampling computed driver-side over
   * an in-memory array. Used only by the statistical-correctness experiments
   * (Figures 8b, 12–14), where the question is the *quality* of the error
-  * estimate, not where it is computed.
+  * estimate, not where it is computed. Each reads its CI off deviations by
+  * `Resampling.interval`, as the SQL baselines do.
   */
 object DriverBootstrap {
 
-  final case class Bound(estimate: Double, ciLo: Double, ciHi: Double)
-
   /** Percentile-bootstrap CI for the mean of xs. */
   def bootstrapMean(xs: Array[Double], b: Int, confidence: Double = 0.95,
-                    seed: Long = 31): Bound = {
+                    seed: Long = 31): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -24,17 +24,14 @@ object DriverBootstrap {
       while (i < n) { s += xs(rng.nextInt(n)); i += 1 }
       s / n
     }
-    val alpha = 1 - confidence
-    val devs  = ests.map(full - _).toSeq
-    Bound(full, full - Stats.quantile(devs, 1 - alpha / 2),
-      full - Stats.quantile(devs, alpha / 2))
+    interval(full, ests.map(full - _).toSeq, confidence)
   }
 
   /** Traditional-subsampling CI for the mean: b subsamples of size ns drawn
     * without replacement, deviations scaled by sqrt(ns/n).
     */
   def subsamplingMean(xs: Array[Double], ns: Int, b: Int,
-                      confidence: Double = 0.95, seed: Long = 37): Bound = {
+                      confidence: Double = 0.95, seed: Long = 37): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -53,20 +50,16 @@ object DriverBootstrap {
       }
       s / ns
     }
-    val alpha = 1 - confidence
-    val devs  = ests.map(e => math.sqrt(ns.toDouble) * (e - full)).toSeq
-    Bound(full,
-      full - Stats.quantile(devs, 1 - alpha / 2) / math.sqrt(n.toDouble),
-      full - Stats.quantile(devs, alpha / 2) / math.sqrt(n.toDouble))
+    interval(full, ests.map(deviation(full, ns.toDouble, n.toDouble)).toSeq, confidence)
   }
 
   /** Variational-subsampling CI for the mean, driver-side reference
     * implementation of Section 4.2: each element assigned to exactly one of
-    * b subsamples; deviations scaled by sqrt(n_s,i); empirical quantiles
+    * b subsamples; deviations scaled by sqrt(n_s,i / n); empirical quantiles
     * give the CI (Equation 2).
     */
   def variationalMean(xs: Array[Double], b: Int, confidence: Double = 0.95,
-                      seed: Long = 41): Bound = {
+                      seed: Long = 41): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -79,20 +72,18 @@ object DriverBootstrap {
       i += 1
     }
     val devs = (0 until b).filter(counts(_) > 0).map { j =>
-      math.sqrt(counts(j).toDouble) * (sums(j) / counts(j) - full)
+      deviation(full, counts(j).toDouble, n.toDouble)(sums(j) / counts(j))
     }
-    val alpha = 1 - confidence
-    Bound(full,
-      full - Stats.quantile(devs, 1 - alpha / 2) / math.sqrt(n.toDouble),
-      full - Stats.quantile(devs, alpha / 2) / math.sqrt(n.toDouble))
+    interval(full, devs, confidence)
   }
 
-  /** CLT CI for the mean (reference in Figure 8b). */
-  def cltMean(xs: Array[Double], confidence: Double = 0.95): Bound = {
+  /** CLT CI for the mean (reference in Figure 8b), a closed form: b = 0. */
+  def cltMean(xs: Array[Double], confidence: Double = 0.95): Result = {
     val n    = xs.length
     val m    = xs.sum / n
     val sd   = Stats.stddev(xs.toSeq)
     val z    = Stats.normalQuantile(1 - (1 - confidence) / 2)
-    Bound(m, m - z * sd / math.sqrt(n.toDouble), m + z * sd / math.sqrt(n.toDouble))
+    Result(m, sd / math.sqrt(n.toDouble),
+      m - z * sd / math.sqrt(n.toDouble), m + z * sd / math.sqrt(n.toDouble), 0)
   }
 }

@@ -243,6 +243,16 @@ object Rewriter {
       q.aggItems.map(i => i.alias -> s"${i.alias}$ErrSuffix").toMap, b)
   }
 
+  /** The point estimate `sql` of `call`, 0 for a count over no rows: a
+    * global query whose WHERE drops every row still returns one row, holding
+    * each aggregate's value over no rows, and SQL's count there is 0, not
+    * NULL. Per-sid estimates and errors stay NULL.
+    */
+  private def countPoint(call: AggCall, sql: String): String = call.func match {
+    case AggFuncType.Count | AggFuncType.CountDistinct => s"coalesce($sql, 0)"
+    case _                                             => sql
+  }
+
   // ------------------------------------------------------------------ flat --
 
   private def rewriteFlat(q: FlatQuery, choices: Map[String, TableChoice],
@@ -256,7 +266,7 @@ object Rewriter {
       case _        => s"sum(${c.col(call, st)})"
     }
     def point(e: Expr) =
-      e.render(call => CellStats.estimate(call, pooled(call), "1", c.distinctTau))
+      e.render(call => countPoint(call, CellStats.estimate(call, pooled(call), "1", c.distinctTau)))
     // (The paper's Query 9 carries an `n_g` window to scale per-subsample
     // estimates by the realized group size. Counts and sums scale by b, the
     // expected subsample-to-sample factor, instead: the realized ratio would
@@ -305,15 +315,7 @@ object Rewriter {
       ("vsid" +: calls.map(call => s"${call.sqlExact} AS ${o(call)}"))
     val l4 = s"SELECT ${l4Cols.mkString(", ")}${outer.fromWhereSql(_ => s"($l3) $alias")} " +
       s"GROUP BY ${(outerGroups :+ "vsid").mkString(", ")}"
-    // A global outer query whose WHERE drops every point row still returns
-    // one row, holding each aggregate's value over no rows: 0 for counts.
-    def point(call: AggCall) = {
-      val p = s"max(CASE WHEN vsid IS NULL THEN ${o(call)} END)"
-      call.func match {
-        case AggFuncType.Count | AggFuncType.CountDistinct => s"coalesce($p, 0)"
-        case _                                             => p
-      }
-    }
+    def point(call: AggCall) = countPoint(call, s"max(CASE WHEN vsid IS NULL THEN ${o(call)} END)")
     // an outer filter on inner estimates may drop an outer group's point row
     // but keep some of its sid rows; such a group has no point estimate
     val hasPoint = if (outerGroups.isEmpty) None else Some("count(vsid) < count(*)")

@@ -77,12 +77,14 @@ object SamplePlanner {
   final case class Config(
       /** I/O budget as a fraction of total base rows (paper default 2%). */
       budgetFraction: Double = 0.02,
-      /** score multiplier when a stratified sample covers the group-by. */
-      stratifiedAdvantage: Double = 1.5,
       /** heuristic: keep only k best samples per source at joins (Appx E.2). */
-      k: Int = 10,
-      /** decline AQP when expected sampled tuples per group falls below. */
-      minRowsPerGroup: Double = 10.0)
+      k: Int = 10)
+
+  /** Score multiplier when a stratified sample covers the group-by. */
+  val StratifiedAdvantage = 1.5
+
+  /** AQP is declined when the expected sampled tuples per group fall below. */
+  val MinRowsPerGroup = 10.0
 
   /** Number of raw candidate plans (pre-consolidation), as enumerated in
     * Appendix E.1 — product over aggregates of per-aggregate choice counts.
@@ -165,7 +167,7 @@ object SamplePlanner {
   def plan(aggs: Seq[AggCall], sources: Seq[SourceInfo], groupCols: Seq[String],
            cfg: Config = Config()): Option[Plan] = {
     if (aggs.isEmpty || sources.isEmpty) return None
-    if (!groupingFeasible(sources, groupCols, cfg)) return None
+    if (!groupingFeasible(sources, groupCols)) return None
 
     val classes = aggs.map(classOf).distinct
     val perClass: Map[AggClass, Seq[Map[String, TableChoice]]] =
@@ -186,7 +188,7 @@ object SamplePlanner {
         }
         .toSeq.sortBy(_.aggIdxs.head)
       val cost  = blocks.map(_.choices.values.map(_.rows).sum).sum
-      val score = planScore(blocks, sources, groupCols, cfg)
+      val score = planScore(blocks, groupCols)
       Plan(blocks, score, cost)
     }
 
@@ -195,14 +197,13 @@ object SamplePlanner {
   }
 
   /** score = sqrt(mean effective ratio) * stratified-advantage factor. */
-  private def planScore(blocks: Seq[PlanBlock], sources: Seq[SourceInfo],
-                        groupCols: Seq[String], cfg: Config): Double = {
+  private def planScore(blocks: Seq[PlanBlock], groupCols: Seq[String]): Double = {
     val meanRatio = blocks.map(_.effRatio).sum / blocks.size
     val groupSet  = groupCols.map(_.split('.').last.toLowerCase).toSet
     val advantage = blocks.flatMap(_.choices.values).collectFirst {
       case UseSample(i) if i.sampleType == SampleType.Stratified &&
         groupSet.nonEmpty && groupSet.subsetOf(i.columns.map(_.toLowerCase).toSet) =>
-        cfg.stratifiedAdvantage
+        StratifiedAdvantage
     }.getOrElse(1.0)
     math.sqrt(meanRatio) * advantage
   }
@@ -211,8 +212,7 @@ object SamplePlanner {
     * per output group is too small for meaningful estimates (the paper's
     * "high cardinality of the grouping attributes" rule for tq-3/8/15).
     */
-  def groupingFeasible(sources: Seq[SourceInfo], groupCols: Seq[String],
-                       cfg: Config): Boolean = {
+  def groupingFeasible(sources: Seq[SourceInfo], groupCols: Seq[String]): Boolean = {
     if (groupCols.isEmpty) return true
     val cards = groupCols.map { g =>
       val c = g.split('.').last.toLowerCase
@@ -224,7 +224,7 @@ object SamplePlanner {
     val sampledRows = sources.map { s =>
       s.samples.map(_.sampleRows.toDouble).maxOption.getOrElse(s.baseRows.toDouble)
     }.min
-    sampledRows / math.max(1.0, nGroups) >= cfg.minRowsPerGroup
+    sampledRows / math.max(1.0, nGroups) >= MinRowsPerGroup
   }
 
   private def cross[A](xs: List[List[A]]): List[List[A]] = xs match {

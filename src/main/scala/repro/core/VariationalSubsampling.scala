@@ -12,18 +12,14 @@ package repro.core
   */
 object VariationalSubsampling {
 
-  /** Number of subsamples for a sample of n rows: b = round(sqrt(n)),
-    * rounded *down* to a perfect square so that Theorem 4's sqrt(b)-block
-    * grid partitions exactly. Always >= 4.
+  /** Number of subsamples for a sample of n rows with the paper's default
+    * n_s = sqrt(n): b = sqrt(n) rounded as `numSubsamplesFor` does.
     */
-  def numSubsamples(n: Long): Int = {
-    val raw  = math.max(4.0, math.sqrt(math.max(1L, n).toDouble))
-    val root = math.max(2, math.floor(math.sqrt(raw)).toInt)
-    root * root
-  }
+  def numSubsamples(n: Long): Int = numSubsamplesFor(n, math.sqrt(n.toDouble))
 
-  /** Subsample-count for an explicit n_s choice: b = n / n_s (perfect square,
-    * >= 4). Used by the Fig 14 sweep where n_s != sqrt(n).
+  /** Subsample-count for an explicit n_s choice: b = n / n_s, rounded *down*
+    * to a perfect square so that Theorem 4's sqrt(b)-block grid partitions
+    * exactly, and at least 4. The Fig 14 sweep sets n_s != sqrt(n).
     */
   def numSubsamplesFor(n: Long, ns: Double): Int = {
     val raw  = math.max(4.0, n / math.max(1.0, ns))

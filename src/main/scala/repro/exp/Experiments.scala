@@ -90,15 +90,27 @@ object Experiments {
     val queries = Seq(
       Workloads.tpch.find(_.name == "tq6").get,
       Workloads.tpch.find(_.name == "tq14").get)
-    sfs.flatMap { sf =>
+    def setUp(sf: Double): Verdict = {
       BenchData.writeAndRegisterBase(spark, sf, dir, Seq("lineitem", "part"))
       val verdict = new Verdict(spark, VerdictConfig(budgetFraction = 0.6))
       verdict.registerTable("lineitem", spark.table("lineitem"))
       verdict.registerTable("part", spark.table("part"))
-      val env  = Env(spark, verdict, sf, dir)
       val rows = verdict.tableStats("lineitem").get.rows
       val tau  = math.min(1.0, sampleRows.toDouble / rows)
-      BenchData.materializeSample(env, "lineitem", SampleType.Uniform, tau = tau)
+      BenchData.materializeSample(Env(spark, verdict, sf, dir), "lineitem",
+        SampleType.Uniform, tau = tau)
+      verdict
+    }
+    // a JVM's first queries run slow (code generation, JIT), and the sweep
+    // would charge that to its first scale factor: so every scale factor's
+    // queries run once before any is timed
+    sfs.foreach { sf =>
+      val verdict = setUp(sf)
+      queries.foreach { q => spark.sql(q.sql).collect(); verdict.sql(q.sql).df.collect() }
+    }
+    sfs.flatMap { sf =>
+      val verdict = setUp(sf)
+      val rows    = verdict.tableStats("lineitem").get.rows
       queries.map { q =>
         val exactMs   = Timing.minMs(reps = 3, warmup = 2) { spark.sql(q.sql).collect() }
         val verdictMs = Timing.minMs(reps = 3, warmup = 2) { verdict.sql(q.sql).df.collect() }
@@ -210,12 +222,12 @@ object Experiments {
       env.verdict.sql("SELECT sum(l_extendedprice) AS s FROM lineitem").df.collect()
     }
     run("flat", "traditional") {
-      TraditionalSubsampling.estimate(spark, "lineitem_uniform",
-        s"sum(l_extendedprice / $p)", None, n, ns, b, n.toDouble / ns)
+      Resampling.estimate(spark, "lineitem_uniform", "sum", s"l_extendedprice / $p",
+        None, b, Resampling.Subsampling(n, ns))
     }
     run("flat", "bootstrap") {
-      ConsolidatedBootstrap.estimate(spark, "lineitem_uniform", "sum",
-        s"l_extendedprice / $p", None, b)
+      Resampling.estimate(spark, "lineitem_uniform", "sum", s"l_extendedprice / $p",
+        None, b, Resampling.Bootstrap)
     }
 
     // ---- join (hashed x hashed on the order key) ----
@@ -235,13 +247,12 @@ object Experiments {
           "WHERE l_orderkey = o_orderkey").df.collect()
     }
     run("join", "traditional") {
-      TraditionalSubsampling.estimate(spark, "fig7_join",
-        "sum(l_extendedprice / jp)", None, nj, math.max(1L, nj / b), b,
-        nj.toDouble / math.max(1L, nj / b))
+      Resampling.estimate(spark, "fig7_join", "sum", "l_extendedprice / jp",
+        None, b, Resampling.Subsampling(nj, math.max(1L, nj / b)))
     }
     run("join", "bootstrap") {
-      ConsolidatedBootstrap.estimate(spark, "fig7_join", "sum",
-        "l_extendedprice / jp", None, b)
+      Resampling.estimate(spark, "fig7_join", "sum", "l_extendedprice / jp",
+        None, b, Resampling.Bootstrap)
     }
 
     // ---- nested (aggregate in FROM) ----
@@ -254,25 +265,17 @@ object Experiments {
     run("nested", "variational") {
       env.verdict.sql(Workloads.tpch.find(_.name == "tq-nested").get.sql).df.collect()
     }
-    run("nested", "traditional") {
-      spark.sql(
-        s"""SELECT rid, avg(daily) AS est FROM
-           |(SELECT ids.id AS rid, l_linenumber,
-           |        sum(l_extendedprice / $p) AS daily
-           | FROM lineitem_uniform CROSS JOIN range(1, ${b + 1}) ids
-           | WHERE rand(97) < ${ns.toDouble / n}
-           | GROUP BY ids.id, l_linenumber) t GROUP BY rid""".stripMargin).collect()
-    }
-    run("nested", "bootstrap") {
-      val mult = ConsolidatedBootstrap.poissonCase("bs_u")
+    // the per-resample pass only: each resample's inner groups, then the
+    // outer aggregate per resample
+    def nestedPerResample(method: Resampling.Method): Unit =
       spark.sql(
         s"""SELECT rid, avg(daily) AS est FROM
            |(SELECT rid, l_linenumber,
-           |        sum(l_extendedprice * $mult / $p) AS daily
-           | FROM (SELECT ids.id AS rid, s.*, rand(89) AS bs_u
-           |       FROM lineitem_uniform s CROSS JOIN range(1, ${b + 1}) ids) x
+           |        ${Resampling.aggregate("sum", s"l_extendedprice / $p", "mult")} AS daily
+           | FROM (${Resampling.relation("lineitem_uniform", b, method)}) x
            | GROUP BY rid, l_linenumber) t GROUP BY rid""".stripMargin).collect()
-    }
+    run("nested", "traditional")(nestedPerResample(Resampling.Subsampling(n, ns)))
+    run("nested", "bootstrap")(nestedPerResample(Resampling.Bootstrap))
     rows.result()
   }
 
@@ -327,7 +330,7 @@ object Experiments {
       for (_ <- 1 to trials) {
         val xs = Array.fill(n)(10.0 + 10.0 * rng.nextGaussian())
         val nsSub = math.max(2, math.sqrt(n.toDouble).toInt)
-        def relPct(bd: DriverBootstrap.Bound): Double =
+        def relPct(bd: Resampling.Result): Double =
           100 * (bd.ciHi - bd.ciLo) / 2 / math.abs(bd.estimate)
         perMethod("clt") :+= relPct(DriverBootstrap.cltMean(xs))
         perMethod("bootstrap") :+= relPct(

@@ -28,8 +28,8 @@ class BaselinesSpec extends SparkSpec {
   test("traditional subsampling in SQL: estimate, CI, and b subsamples") {
     val (n, _) = sampleView
     val b = 50; val ns = n / b
-    val r = TraditionalSubsampling.estimate(spark, "bl_sample",
-      s"sum(l_quantity / $ProbCol)", None, n, ns, b, n.toDouble / ns)
+    val r = Resampling.estimate(spark, "bl_sample", "sum",
+      s"l_quantity / $ProbCol", None, b, Resampling.Subsampling(n, ns))
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.stderr > 0)
     assert(r.ciLo < r.estimate && r.estimate < r.ciHi)
@@ -37,20 +37,20 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("consolidated bootstrap in SQL: estimate and percentile CI") {
-    val r = ConsolidatedBootstrap.estimate(spark, "bl_sample", "sum",
-      s"l_quantity / $ProbCol", None, b = 50)
+    val r = Resampling.estimate(spark, "bl_sample", "sum",
+      s"l_quantity / $ProbCol", None, b = 50, Resampling.Bootstrap)
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.ciLo < r.estimate && r.estimate < r.ciHi)
     assert(r.b == 50)
   }
 
   test("consolidated bootstrap avg and count kinds") {
-    val ra = ConsolidatedBootstrap.estimate(spark, "bl_sample", "avg",
-      "l_quantity", None, b = 30)
+    val ra = Resampling.estimate(spark, "bl_sample", "avg",
+      "l_quantity", None, b = 30, Resampling.Bootstrap)
     assert(math.abs(ra.estimate - exactAvgQty) / exactAvgQty < 0.05)
     val (n, ratio) = sampleView
-    val rc = ConsolidatedBootstrap.estimate(spark, "bl_sample", "count",
-      "1", None, b = 30, scale = 1.0 / ratio)
+    val rc = Resampling.estimate(spark, "bl_sample", "count",
+      "1", None, b = 30, Resampling.Bootstrap, scale = 1.0 / ratio)
     assert(math.abs(rc.estimate - TestData.li.count()) / TestData.li.count() < 0.05)
   }
 
@@ -58,7 +58,7 @@ class BaselinesSpec extends SparkSpec {
     // the uniform must be materialized first: a CASE directly over rand()
     // re-draws on every (short-circuited) branch
     val draws = spark.sql(
-      s"SELECT ${ConsolidatedBootstrap.poissonCase("u")} AS k " +
+      s"SELECT ${Resampling.poissonCase("u")} AS k " +
         "FROM (SELECT rand(3) AS u FROM range(50000))")
       .collect().map(_.getInt(0).toDouble)
     val mean = draws.sum / draws.length
@@ -75,7 +75,7 @@ class BaselinesSpec extends SparkSpec {
       "variational" -> 0, "clt" -> 0)
     for (_ <- 1 to trials) {
       val xs = Array.fill(n)(10.0 + 10.0 * rng.nextGaussian())
-      def covers(b: DriverBootstrap.Bound): Boolean = b.ciLo <= 10.0 && 10.0 <= b.ciHi
+      def covers(b: Resampling.Result): Boolean = b.ciLo <= 10.0 && 10.0 <= b.ciHi
       if (covers(DriverBootstrap.bootstrapMean(xs, 200, seed = rng.nextLong())))
         cover += "bootstrap" -> (cover("bootstrap") + 1)
       if (covers(DriverBootstrap.subsamplingMean(xs, 45, 200, seed = rng.nextLong())))

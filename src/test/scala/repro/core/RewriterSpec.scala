@@ -298,6 +298,15 @@ class RewriterSpec extends SparkSpec {
     assert(row.isNullAt(row.fieldIndex("total")), row)
   }
 
+  test("a flat count over no rows is 0, not NULL, at tau=1") {
+    val row = approx(vExact, "SELECT count(*) AS c, sum(l_extendedprice) AS s, " +
+      "count(distinct l_orderkey) AS cd FROM lineitem WHERE l_quantity < 0").df.head()
+    assert(row.getAs[Any]("c").toString.toDouble == 0.0, row)
+    assert(row.getAs[Any]("cd").toString.toDouble == 0.0, row)
+    assert(row.isNullAt(row.fieldIndex("s")), row)
+    assert(row.isNullAt(row.fieldIndex("c_err")), row)
+  }
+
   test("count-distinct over two sampled sources is declined") {
     val q = "SELECT count(distinct l_orderkey) AS cd FROM lineitem_s, orders_s " +
       "WHERE l_orderkey = o_orderkey"

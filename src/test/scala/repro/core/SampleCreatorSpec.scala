@@ -110,11 +110,13 @@ class SampleCreatorSpec extends SparkSpec {
   }
 
   test("registerSample registers the view and the catalog entry") {
+    // a base name of its own: registering a sample of `lineitem` would
+    // replace the tau=1 `lineitem_uniform` view that other suites read
     val cat = new SampleCatalog
-    val (s, info) = SampleCreator.uniform(li, "lineitem", 0.1)
+    val (s, info) = SampleCreator.uniform(li, "sc_register_li", 0.1)
     SampleCreator.registerSample(spark, cat, s, info)
     assert(spark.table(info.sampleTable).columns.contains(ProbCol))
-    assert(cat.samplesFor("lineitem").map(_.sampleTable) == Seq(info.sampleTable))
+    assert(cat.samplesFor("sc_register_li").map(_.sampleTable) == Seq(info.sampleTable))
   }
 
   test("hashUnitExpr maps onto [0,1) uniformly-ish") {

@@ -159,8 +159,8 @@ class SamplePlannerSpec extends AnyFunSuite {
   }
 
   test("high-cardinality grouping is declined (tq-3/8/15 behaviour)") {
-    assert(!groupingFeasible(Seq(srcOrders), Seq("order_id"), Config()))
-    assert(groupingFeasible(Seq(srcOrders), Seq("city"), Config()))
+    assert(!groupingFeasible(Seq(srcOrders), Seq("order_id")))
+    assert(groupingFeasible(Seq(srcOrders), Seq("city")))
     assert(SamplePlanner.plan(Seq(countStar), Seq(srcOrders), Seq("order_id"),
       Config()).isEmpty)
   }

@@ -23,6 +23,20 @@ class VariationalSubsamplingSpec extends SparkSpec {
     assert(numSubsamplesFor(100L, 50.0) == 4)
   }
 
+  test("numSubsamples is numSubsamplesFor at n_s = sqrt(n): sqrt(n) down to a perfect square") {
+    def direct(n: Long): Int = {
+      val raw  = math.max(4.0, math.sqrt(math.max(1L, n).toDouble))
+      val root = math.max(2, math.floor(math.sqrt(raw)).toInt)
+      root * root
+    }
+    // n near k^4 is where b = sqrt(n) sits on a perfect square
+    val nearFourthPowers = (1L until 400L).flatMap { k =>
+      val k4 = k * k * k * k; Seq(k4 - 1, k4, k4 + 1)
+    }
+    val bad = ((0L until 3000000L).iterator ++ nearFourthPowers).find(n => numSubsamples(n) != direct(n))
+    assert(bad.isEmpty, s"n=${bad.getOrElse(-1L)}")
+  }
+
   test("h partitions I x J into b blocks of exactly b pairs each (Theorem 4)") {
     for (b <- Seq(4, 9, 16, 100)) {
       val counts = (for { i <- 1 to b; j <- 1 to b } yield h(i, j, b))
