@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 
 import repro.core.Ast._
 import repro.core.SamplePlanner._
@@ -34,7 +35,9 @@ final case class VerdictConfig(
     seed: Long = 42)
 
 /** Result of a Verdict query: the answer DataFrame, whether it was
-  * approximated, and bookkeeping for inspection/tests.
+  * approximated, and bookkeeping for inspection/tests. An approximate
+  * answer holds the rows its rewritten statement returned, as a local
+  * DataFrame; a pass-through answer is the lazy exact query.
   */
 final case class VerdictResult(
     df: DataFrame,
@@ -160,10 +163,18 @@ final class Verdict(val spark: SparkSession,
                    .toRight("no feasible sample plan")
       rw      <- Rewriter.rewritePlan(sampled, extreme, plan.blocks, qseed)
                    .left.map(reason => s"rewrite failed: $reason")
-    } yield rw
-    rewritten.fold(passthrough(query, _),
-      run(query, q, _, if (extreme.isEmpty) "" else "decomposed extreme statistics"))
+    } yield (plan, rw)
+    rewritten.fold(passthrough(query, _), { case (plan, rw) =>
+      // the exact min/max part reads its base tables whole
+      val rows = plan.cost + (if (extreme.isEmpty) 0L else baseRows(q))
+      run(query, q, rw, rows, if (extreme.isEmpty) "" else "decomposed extreme statistics")
+    })
   }
+
+  private def baseRows(q: FlatQuery): Long = q.from.map {
+    case BaseTable(name, _)     => tableStats(name).fold(0L)(_.rows)
+    case DerivedTable(inner, _) => baseRows(inner)
+  }.sum
 
   /** Planner inputs for the base tables of `unit`, the block that reads the
     * sampled sources.
@@ -182,34 +193,67 @@ final class Verdict(val spark: SparkSession,
     else scala.Right(infos)
   }
 
-  /** Runs the rewritten statement. The answer has the query's columns in
-    * order, then the error columns when configured. With an accuracy
-    * requirement, the High-level Accuracy Contract (Section 2.4) checks the
-    * statement's rows: if any estimated relative error violates it, the
-    * original query reruns exactly; otherwise those rows are the answer, so
-    * the statement runs once.
+  /** Runs the rewritten statement once, collecting it at the shuffle width
+    * of the `rows` it reads (`Verdict.shuffleWidth`). The answer is those
+    * rows: the query's columns in order, then the error columns when
+    * configured. With an accuracy requirement, the High-level Accuracy
+    * Contract (Section 2.4) checks the same rows: if any estimated relative
+    * error violates it, the original query reruns exactly.
     */
-  private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten,
+  private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten, rows: Long,
                   notes: String): VerdictResult = {
-    val stmt    = spark.sql(rw.sql)
-    val errCols = if (config.errorColumns) rw.errColumns else Map.empty[String, String]
-    val out     = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
-    def answer(df: DataFrame) =
-      VerdictResult(df.select(out.map(col): _*), approximate = true, Some(rw.sql), errCols, notes)
-    config.accuracyRequirement match {
-      case None => answer(stmt)
-      case Some(maxRelErr) =>
-        val z = Stats.normalQuantile(1 - (1 - config.confidence) / 2)
-        def num(v: Any) = Option(v).map(_.toString.toDouble)
-        val rows = stmt.collect()
-        val violated = rows.exists(row => rw.errColumns.exists { case (estCol, errCol) =>
-          (num(row.getAs[Any](estCol)), num(row.getAs[Any](errCol))) match {
-            case (Some(e), Some(s)) => e != 0.0 && z * s / math.abs(e) > maxRelErr
-            case _                  => false
-          }
-        })
-        if (violated) passthrough(query, s"HAC violated (> $maxRelErr rel err): exact rerun")
-        else answer(spark.createDataFrame(rows.toSeq.asJava, stmt.schema))
+    val width = Verdict.shuffleWidth(rows, spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt)
+    val (collected, schema) = Verdict.withShuffleWidth(spark, width) {
+      val stmt = spark.sql(rw.sql)
+      (stmt.collect(), stmt.schema)
     }
+    val z = Stats.normalQuantile(1 - (1 - config.confidence) / 2)
+    def num(v: Any) = Option(v).map(_.toString.toDouble)
+    val violated = config.accuracyRequirement.filter(maxRelErr => collected.exists(row =>
+      rw.errColumns.exists { case (estCol, errCol) =>
+        (num(row.getAs[Any](estCol)), num(row.getAs[Any](errCol))) match {
+          case (Some(e), Some(s)) => e != 0.0 && z * s / math.abs(e) > maxRelErr
+          case _                  => false
+        }
+      }))
+    violated match {
+      case Some(maxRelErr) => passthrough(query, s"HAC violated (> $maxRelErr rel err): exact rerun")
+      case None =>
+        val errCols = if (config.errorColumns) rw.errColumns else Map.empty[String, String]
+        val out     = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
+        VerdictResult(spark.createDataFrame(collected.toSeq.asJava, schema).select(out.map(col): _*),
+          approximate = true, Some(rw.sql), errCols, notes)
+    }
+  }
+}
+
+object Verdict {
+
+  /** Rows one shuffle partition of a rewritten statement takes. A statement
+    * over a few thousand sample rows costs more to schedule across the
+    * session's partitions than to aggregate in one; see DESIGN.md §4 for
+    * the timings behind the value.
+    */
+  val RowsPerPartition = 25000L
+
+  /** The shuffle width of a rewritten statement that reads `rows` rows:
+    * one partition per `RowsPerPartition` rows, at least 1 and at most the
+    * session's width.
+    */
+  def shuffleWidth(rows: Long, sessionWidth: Int): Int =
+    math.max(1L, math.min(sessionWidth.toLong, (rows - 1) / RowsPerPartition + 1)).toInt
+
+  /** Runs `body` with the session's shuffle width set to `width`, and puts
+    * the old setting back when `body` returns or throws. Spark reads the
+    * setting when it plans and when adaptive execution re-plans, so only
+    * work that `body` itself runs holds the width. The setting is the
+    * session's: a statement another thread runs on it meanwhile sees it too.
+    */
+  def withShuffleWidth[A](spark: SparkSession, width: Int)(body: => A): A = {
+    val key = SQLConf.SHUFFLE_PARTITIONS.key
+    val old = spark.conf.getAll.get(key)
+    spark.conf.set(key, width.toLong)
+    try body
+    finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 }

@@ -4,6 +4,9 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicBoolean
 
 import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.util.QueryExecutionListener
 
 import repro.{SparkSpec, SynthData}
@@ -32,19 +35,26 @@ class VerdictSpec extends SparkSpec {
   }
 
   /** Plans of the statements the engine ran for `f`, as a
-    * QueryExecutionListener sees them. A marker statement run afterwards
-    * flushes the listener bus, which delivers its events in order. */
+    * QueryExecutionListener sees them. The listener bus delivers its events
+    * in order and late, so marker statements run before and after `f`
+    * bracket its events: the first keeps out those of earlier statements,
+    * the second flushes the bus. */
   private def statementsOf(f: => Unit): Seq[SparkPlan] = {
-    val plans  = new ConcurrentLinkedQueue[SparkPlan]
-    val marked = new AtomicBoolean(false)
+    val plans   = new ConcurrentLinkedQueue[SparkPlan]
+    val started = new AtomicBoolean(false)
+    val marked  = new AtomicBoolean(false)
     val listener = new QueryExecutionListener {
       def onSuccess(fn: String, qe: QueryExecution, ns: Long): Unit =
-        if (qe.analyzed.output.exists(_.name == "statements_marker")) marked.set(true)
-        else plans.add(qe.executedPlan)
+        qe.analyzed.output.map(_.name) match {
+          case Seq("statements_start")  => started.set(true)
+          case Seq("statements_marker") => marked.set(true)
+          case _                        => if (started.get) plans.add(qe.executedPlan)
+        }
       def onFailure(fn: String, qe: QueryExecution, e: Exception): Unit = ()
     }
     spark.listenerManager.register(listener)
     try {
+      spark.range(1).toDF("statements_start").collect()
       f
       spark.range(1).toDF("statements_marker").collect()
       val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
@@ -53,6 +63,17 @@ class VerdictSpec extends SparkSpec {
       plans.asScala.toSeq
     } finally spark.listenerManager.unregister(listener)
   }
+
+  /** Statements that read more than Spark's local scan of collected rows. */
+  private def engineStatements(plans: Seq[SparkPlan]): Seq[SparkPlan] =
+    plans.filterNot(_.collectLeaves().forall(_.isInstanceOf[LocalTableScanExec]))
+
+  /** Every shuffle width a statement planned, adaptive query stages included. */
+  private object Exchanges extends AdaptiveSparkPlanHelper {
+    def widths(p: SparkPlan): Seq[Int] = collect(p) { case e: ShuffleExchangeExec => e.numPartitions }
+  }
+
+  private def sessionWidth: Int = spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt
 
   test("non-aggregate queries pass through with exact results") {
     val r = vExact.sql("SELECT l_returnflag FROM lineitem WHERE l_quantity > 49 " +
@@ -241,20 +262,23 @@ class VerdictSpec extends SparkSpec {
     assert(r.df.head().getDouble(0) == 400.0 * 401 / 2)
   }
 
-  test("HAC: a satisfied requirement answers from the one statement it ran") {
-    val v = tinyVerdict("hac_once_t", VerdictConfig(budgetFraction = 1.0, tau = 1.0,
-      accuracyRequirement = Some(0.5)))
-    var r: VerdictResult = null
-    val plans = statementsOf {
-      r = v.sql("SELECT g, sum(x) AS s FROM hac_once_t GROUP BY g")
-      r.df.collect()
+  for ((name, requirement) <- Seq(
+         "HAC: a satisfied requirement answers from the one statement it ran" -> Some(0.5),
+         "without an accuracy requirement a query runs one engine statement" -> None))
+    test(name) {
+      val table = s"once_${requirement.size}_t"
+      val v = tinyVerdict(table, VerdictConfig(budgetFraction = 1.0, tau = 1.0,
+        accuracyRequirement = requirement))
+      var r: VerdictResult = null
+      val plans = statementsOf {
+        r = v.sql(s"SELECT g, sum(x) AS s FROM $table GROUP BY g")
+        r.df.collect()
+      }
+      assert(r.approximate, r.notes)
+      // serving the collected rows back is a local scan, not an engine statement
+      assert(engineStatements(plans).size == 1, plans.mkString("\n"))
+      assert(r.df.columns.toSeq == Seq("g", "s", "s_err"))
     }
-    assert(r.approximate, r.notes)
-    // serving the collected rows back is a local scan, not an engine statement
-    val engine = plans.filterNot(_.collectLeaves().forall(_.isInstanceOf[LocalTableScanExec]))
-    assert(engine.size == 1, plans.mkString("\n"))
-    assert(r.df.columns.toSeq == Seq("g", "s", "s_err"))
-  }
 
   test("a nested query is planned on its inner aggregates") {
     val q = "SELECT sum(cd) AS t FROM (SELECT l_returnflag, count(distinct l_orderkey) AS cd " +
@@ -278,5 +302,72 @@ class VerdictSpec extends SparkSpec {
     }
     val (a, p) = (aliased.df.head().getAs[Double]("cd"), plain.df.head().getAs[Double]("cd"))
     assert(math.abs(a - p) <= 1e-9 * math.abs(p), s"$a vs $p")
+  }
+
+  // ------------------------------------------------ per-statement shuffle width --
+
+  test("shuffle width: one partition per RowsPerPartition rows, within 1 and the session width") {
+    import Verdict.{RowsPerPartition => R, shuffleWidth}
+    // a bench statement reads 500 to 3 300 sample rows (SF 0.05, tau 0.01)
+    Seq(0L, 1L, 500L, 3300L, R).foreach(rows => assert(shuffleWidth(rows, 64) == 1, rows))
+    assert(shuffleWidth(R + 1, 64) == 2)
+    // an exact min/max part adds its base rows: 3 K sample rows plus 300 K
+    assert(shuffleWidth(303000L, 64) == 13)
+    assert(shuffleWidth(Long.MaxValue, 64) == 64)
+    for (rows <- Seq(0L, 1L, R - 1, 7 * R + 3, 1000 * R, Long.MaxValue); session <- Seq(1, 4, 64, 200)) {
+      val w = shuffleWidth(rows, session)
+      assert(w >= 1 && w <= session, s"$rows rows, session $session: $w")
+    }
+  }
+
+  /** A Verdict over a 60 001-row table `width_t` (g = i % 7, x = i) with a
+    * tau = 1 uniform sample: its statements read more than one partition's rows. */
+  private lazy val wide: Verdict = {
+    val v = new Verdict(spark, VerdictConfig(budgetFraction = 1.0, tau = 1.0))
+    v.registerTable("width_t", spark.range(1, 60002).selectExpr("id % 7 AS g", "CAST(id AS DOUBLE) AS x"))
+    v.createSample("width_t", SampleType.Uniform, tau = 1.0)
+    v
+  }
+
+  test("shuffle width: a rewritten statement shuffles at the width of the rows it reads") {
+    val sample = wide.catalog.samplesFor("width_t").head.sampleRows
+    val base   = wide.tableStats("width_t").get.rows
+    def widthsOf(q: String): Seq[Int] = {
+      var r: VerdictResult = null
+      val plans = statementsOf { r = wide.sql(q); r.df.collect() }
+      assert(r.approximate, r.notes)
+      engineStatements(plans).flatMap(Exchanges.widths)
+    }
+    val flat = widthsOf("SELECT g, sum(x) AS s FROM width_t GROUP BY g")
+    assert(flat.nonEmpty && flat.forall(_ == Verdict.shuffleWidth(sample, sessionWidth)), flat)
+    assert(Verdict.shuffleWidth(sample, sessionWidth) == 3)
+    // the exact min/max part reads the base table whole
+    val decomposed = widthsOf("SELECT g, max(x) AS mx, sum(x) AS s FROM width_t GROUP BY g")
+    assert(decomposed.nonEmpty &&
+      decomposed.forall(_ == Verdict.shuffleWidth(sample + base, sessionWidth)), decomposed)
+  }
+
+  test("shuffle width: a pass-through query keeps the session width") {
+    var r: VerdictResult = null
+    val plans = statementsOf {
+      r = wide.sql("SELECT g, max(x) AS mx FROM width_t GROUP BY g")
+      r.df.collect()
+    }
+    assert(!r.approximate, r.notes)
+    val widths = plans.flatMap(Exchanges.widths)
+    assert(widths.nonEmpty && widths.forall(_ == sessionWidth), widths)
+  }
+
+  test("shuffle width: the session setting is back after a query and after a scope that throws") {
+    val key    = SQLConf.SHUFFLE_PARTITIONS.key
+    val before = spark.conf.get(key)
+    assert(wide.sql("SELECT g, sum(x) AS s FROM width_t GROUP BY g").approximate)
+    assert(spark.conf.get(key) == before)
+    val e = intercept[IllegalStateException](Verdict.withShuffleWidth(spark, 3) {
+      assert(spark.conf.get(key) == "3")
+      throw new IllegalStateException("inside the scope")
+    })
+    assert(e.getMessage == "inside the scope")
+    assert(spark.conf.get(key) == before)
   }
 }
