@@ -14,7 +14,8 @@ class Fig5DataSizeBench extends SparkSpec {
     // maps to sf 0.25 -> 2.0 here before scan time dominates fixed overheads
     val sfs  = Seq(0.25, 0.5, 1.0, 2.0)
     val rows = Experiments.dataSizeSweep(spark, sfs)
-    BenchEnv.printRows("query sf baseRows exactMs verdictMs speedup", rows)
+    BenchEnv.printRows(
+      "query sf baseRows exactMs verdictMs speedup exactCompiles verdictCompiles", rows)
 
     for (q <- Seq("tq6", "tq14")) {
       val byQ = rows.filter(_.query == q).sortBy(_.sf)

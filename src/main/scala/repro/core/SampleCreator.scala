@@ -1,6 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.classic.ClassicConversions._
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 /** Offline sample preparation (Section 3).
@@ -8,8 +10,11 @@ import org.apache.spark.sql.functions._
   * All three creators are expressible as standard SQL over the base table —
   * the property the paper's middleware depends on: `rand()`, a hash function,
   * and `create table ... as select ...` are the only engine features used.
-  * Each creator returns the sample DataFrame (with the extra
-  * `verdict_sampling_prob` column) plus its catalog metadata.
+  * On Spark, `localCheckpoint` stands in for the `create table ... as
+  * select ...` that materializes a stratified sample's draw. Each creator
+  * returns the sample DataFrame (with the extra `verdict_sampling_prob`
+  * column) plus its catalog metadata, whose `sampleRows` counts the rows
+  * that DataFrame holds.
   */
 object SampleCreator {
   import SampleCatalog.ProbCol
@@ -62,6 +67,11 @@ object SampleCreator {
     * staircase probability of Lemma 1, guaranteeing (w.p. 1-delta per
     * stratum) at least  m = ceil(|T| * tau / d_C)  tuples per stratum
     * (Equation 1), where d_C is the number of strata.
+    *
+    * Pass 2 runs once: its rows are materialized (the paper's CTAS), counted
+    * from that materialization, and returned. Re-running the plan would not
+    * repeat the draw, as `rand(seed)` draws per partition and adaptive
+    * execution coalesces a column-pruned count's partitions differently.
     */
   def stratified(df: DataFrame, baseTable: String, cols: Seq[String], tau: Double,
                  delta: Double = Staircase.DefaultDelta,
@@ -80,6 +90,7 @@ object SampleCreator {
       .withColumn(ProbCol, expr(probSql))
       .where(rand(seed) < col(ProbCol))
       .drop("verdict_strata_size")
+      .localCheckpoint(eager = true)
     val info = SampleInfo(baseTable,
       s"${baseTable}_stratified_${cols.mkString("_")}", SampleType.Stratified,
       cols, tau, baseRows, s.count())
@@ -101,13 +112,26 @@ object SampleCreator {
     }
 
   /** Materialize a sample as a cached temp view and register its metadata.
-    * Returns the cached sample DataFrame.
+    * A sample its creator has already materialized is not cached again.
+    * Returns the materialized sample DataFrame.
     */
   def registerSample(spark: SparkSession, catalog: SampleCatalog,
                      sample: DataFrame, info: SampleInfo): DataFrame = {
-    val s = sample.cache()
+    val s = sample.queryExecution.logical match {
+      case _: LogicalRDD => sample
+      case _             => sample.cache()
+    }
     s.createOrReplaceTempView(info.sampleTable)
     catalog.register(info)
     s
+  }
+
+  /** Drop the in-memory copy of a sample its caller has written elsewhere:
+    * a stratified sample's materialized draw, or a cache. The DataFrame is
+    * not to be read afterwards.
+    */
+  def release(sample: DataFrame): Unit = sample.queryExecution.logical match {
+    case draw: LogicalRDD => draw.rdd.unpersist()
+    case _                => sample.unpersist()
   }
 }

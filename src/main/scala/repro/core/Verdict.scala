@@ -65,10 +65,16 @@ final class Verdict(val spark: SparkSession,
   // ------------------------------------------------------------- sample prep
 
   /** Register a base table (as a temp view) and gather its stats in one
-    * pass: the row count and each column's approximate cardinality. */
+    * pass: the row count and each column's approximate cardinality. A
+    * cardinality is read off a DataSketches HLL sketch (lgK 12, about 1.6%
+    * relative standard error) of the column's 64-bit hash; NULL is hashed
+    * to NULL, so it is not counted. */
   def registerTable(name: String, df: DataFrame): TableStats = {
     df.createOrReplaceTempView(name)
-    val row = df.agg(count(lit(1)), df.columns.toSeq.map(c => approx_count_distinct(col(c))): _*).head()
+    val distinct = df.columns.toSeq.map { c =>
+      hll_sketch_estimate(hll_sketch_agg(when(col(c).isNotNull, xxhash64(col(c)))))
+    }
+    val row = df.agg(count(lit(1)), distinct: _*).head()
     val s = TableStats(row.getLong(0),
       df.columns.zipWithIndex.map { case (c, i) => c.toLowerCase -> row.getLong(i + 1) }.toMap)
     stats(name.toLowerCase) = s

@@ -76,6 +76,7 @@ object BenchData {
       SampleCreator.create(spark.table(baseTable), baseTable, sampleType, columns, tau)
     val p = path(env.dir, env.sf, info.sampleTable)
     sdf.write.mode("overwrite").parquet(p)
+    SampleCreator.release(sdf) // queries read the Parquet copy
     spark.read.parquet(p).createOrReplaceTempView(info.sampleTable)
     env.verdict.catalog.register(info)
     info

@@ -1,5 +1,6 @@
 package repro.exp
 
+import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 
 import repro.baselines._
@@ -78,8 +79,20 @@ object Experiments {
 
   // ------------------------------------------ Figure 5: speedup vs data size --
 
+  /** `exactCompiles`/`verdictCompiles`: code-generation compilations per
+    * timed run of the query. */
   final case class SizeSweepRow(query: String, sf: Double, baseRows: Long,
-                                exactMs: Double, verdictMs: Double, speedup: Double)
+                                exactMs: Double, verdictMs: Double, speedup: Double,
+                                exactCompiles: Double, verdictCompiles: Double)
+
+  /** Min of 3 timed runs after 2 warm-ups, and the Janino compilations per
+    * timed run (a statement whose generated code is cached compiles none). */
+  private def timedCompiles(f: => Unit): (Double, Double) = {
+    f; f // warm-up
+    val c0 = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    val ms = Timing.minMs(reps = 3, warmup = 0)(f)
+    (ms, (CodegenMetrics.METRIC_COMPILATION_TIME.getCount - c0) / 3.0)
+  }
 
   /** Fixed-size sample, growing base data (the paper fixes a 5 GB sample and
     * grows the data 5->500 GB). We fix the sample row count and grow sf.
@@ -112,9 +125,10 @@ object Experiments {
       val verdict = setUp(sf)
       val rows    = verdict.tableStats("lineitem").get.rows
       queries.map { q =>
-        val exactMs   = Timing.minMs(reps = 3, warmup = 2) { spark.sql(q.sql).collect() }
-        val verdictMs = Timing.minMs(reps = 3, warmup = 2) { verdict.sql(q.sql).df.collect() }
-        SizeSweepRow(q.name, sf, rows, exactMs, verdictMs, exactMs / verdictMs)
+        val (exactMs, exactCompiles)     = timedCompiles { spark.sql(q.sql).collect() }
+        val (verdictMs, verdictCompiles) = timedCompiles { verdict.sql(q.sql).df.collect() }
+        SizeSweepRow(q.name, sf, rows, exactMs, verdictMs, exactMs / verdictMs,
+          exactCompiles, verdictCompiles)
       }
     }
   }
@@ -441,6 +455,7 @@ object Experiments {
       val (s, _) = SampleCreator.stratified(spark.table("lineitem"), "lineitem",
         Seq("l_returnflag"), 0.01)
       s.write.mode("overwrite").parquet(s"$tmp/stratified")
+      SampleCreator.release(s)
     }
     // integrated engines sample in one pass while loading (no two-pass, no
     // catalog bookkeeping): modeled as a bare filter + write

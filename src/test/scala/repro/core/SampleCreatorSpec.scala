@@ -3,9 +3,10 @@ package repro.core
 import java.nio.file.Files
 
 import org.apache.commons.io.FileUtils
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.SparkSpec
+import repro.{SparkSpec, SynthData}
 import repro.core.SampleCatalog.ProbCol
 
 class SampleCreatorSpec extends SparkSpec {
@@ -29,16 +30,31 @@ class SampleCreatorSpec extends SparkSpec {
     assert(s.drop(ProbCol).exceptAll(li).count() == 0)
   }
 
-  test("uniform sample counts the rows of its own draw over Parquet") {
-    val dir = Files.createTempDirectory("uniform-sample")
-    try {
-      li.write.mode("overwrite").parquet(dir.toString)
-      val pq = spark.read.parquet(dir.toString)
-      Seq(1L, 7L, 11L, 42L, 123L).foreach { seed =>
-        val (s, info) = SampleCreator.uniform(pq, "lineitem", 0.1, seed)
-        assert(info.baseRows == n && info.sampleRows == s.count(), s"seed $seed: $info")
+  test("every sample type counts the rows of its own draw over Parquet") {
+    // the benchmark's SF 0.05 lineitem and stratification: a count that
+    // re-ran the stratified draw's plan was coalesced differently from it
+    val root = Files.createTempDirectory("sample-draws")
+    try Seq(1L, 2L, 3L).foreach { seed =>
+      val base = root.resolve(s"lineitem_$seed").toString
+      SynthData.lineitem(spark, 0.05, seed * 1000).write.parquet(base)
+      val pq   = spark.read.parquet(base)
+      val rows = pq.count()
+      Seq(
+        SampleCreator.uniform(pq, "lineitem", 0.01, seed * 31),
+        SampleCreator.hashed(pq, "lineitem", Seq("l_orderkey"), 0.01),
+        SampleCreator.stratified(pq, "lineitem", Seq("l_returnflag", "l_linestatus"), 0.01,
+          seed = seed * 31 + 2)
+      ).foreach { case (s, info) =>
+        val dir = root.resolve(s"${info.sampleTable}_$seed").toString
+        val returned = s.count()
+        s.write.parquet(dir)
+        val written = spark.read.parquet(dir).count()
+        assert(info.baseRows == rows, s"seed $seed ${info.sampleType}: $info")
+        assert(info.sampleRows == returned && returned == written,
+          s"seed $seed ${info.sampleType}: recorded ${info.sampleRows}, " +
+            s"returned $returned, written $written")
       }
-    } finally FileUtils.deleteDirectory(dir.toFile)
+    } finally FileUtils.deleteDirectory(root.toFile)
   }
 
   test("uniform sample rejects invalid tau") {
@@ -117,6 +133,34 @@ class SampleCreatorSpec extends SparkSpec {
     SampleCreator.registerSample(spark, cat, s, info)
     assert(spark.table(info.sampleTable).columns.contains(ProbCol))
     assert(cat.samplesFor("sc_register_li").map(_.sampleTable) == Seq(info.sampleTable))
+  }
+
+  test("registerSample keeps one in-memory copy of each sample") {
+    // base names of their own, as in the test above
+    val cat = new SampleCatalog
+    def stored = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+    n // caches the base table before the first look at storage
+    Seq[() => (DataFrame, SampleInfo)](
+      () => SampleCreator.uniform(li, "sc_copies_u", 0.1),
+      () => SampleCreator.stratified(li, "sc_copies_s", Seq("l_returnflag"), 0.1)
+    ).foreach { create =>
+      val before    = stored
+      val (s, info) = create()
+      SampleCreator.registerSample(spark, cat, s, info)
+      assert(spark.table(info.sampleTable).count() == info.sampleRows)
+      val added = stored -- before
+      assert(added.size == 1, s"${info.sampleType}: ${added.size} stored copies")
+    }
+  }
+
+  test("release drops the stored copy of a written sample") {
+    def stored = spark.sparkContext.getRDDStorageInfo.map(_.id).toSet
+    n // caches the base table before the first look at storage
+    val before = stored
+    val (s, _) = SampleCreator.stratified(li, "sc_release", Seq("l_returnflag"), 0.1)
+    assert((stored -- before).size == 1, "the stratified draw is stored once")
+    SampleCreator.release(s)
+    assert(stored == before)
   }
 
   test("hashUnitExpr maps onto [0,1) uniformly-ish") {

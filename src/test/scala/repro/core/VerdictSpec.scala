@@ -6,6 +6,7 @@ import java.util.concurrent.atomic.AtomicBoolean
 import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.functions.{col, count_distinct}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.util.QueryExecutionListener
 
@@ -171,6 +172,34 @@ class VerdictSpec extends SparkSpec {
     assert(st.rows == TestData.li.count())
     assert(st.cardinalities("l_returnflag") <= 4) // approx; 3 values
     assert(st.cardinalities("l_orderkey") > 100)
+  }
+
+  test("registerTable estimates each column's distinct non-NULL values within 5%") {
+    val df = spark.range(200000).selectExpr(
+      "id",
+      "id % 50000 AS k50k",
+      "id % 7 AS k7",
+      "concat('s', id % 3000) AS s3k",
+      "(id % 20000) / 4.0 AS d20k",
+      "cast(date_add(date'2020-01-01', cast(id % 900 AS int)) AS date) AS day",
+      "CASE WHEN id % 2 = 0 THEN NULL ELSE id % 5 END AS n5",
+      "CASE WHEN id % 3 = 0 THEN NULL ELSE id % 40000 END AS n40k")
+    val v  = new Verdict(spark)
+    val st = v.registerTable("card_t", df)
+    val exact = df.select(df.columns.toSeq.map(c => count_distinct(col(c))): _*).head()
+    assert(st.rows == 200000)
+    df.columns.zipWithIndex.foreach { case (c, i) =>
+      val truth = exact.getLong(i)
+      val est   = st.cardinalities(c.toLowerCase)
+      assert(math.abs(est - truth) <= 0.05 * truth, s"$c: estimate $est, exact $truth")
+    }
+    assert(v.registerTable("card_t", df) == st, "a second pass gives the same stats")
+  }
+
+  test("registerTable on an empty table gives zero rows and zero cardinalities") {
+    val empty = spark.range(0).selectExpr("id", "cast(id AS string) AS s")
+    val st = new Verdict(spark).registerTable("card_empty", empty)
+    assert(st == TableStats(0L, Map("id" -> 0L, "s" -> 0L)))
   }
 
   test("default sampling policy (Appendix F): uniform + hashed high-card + stratified low-card") {
