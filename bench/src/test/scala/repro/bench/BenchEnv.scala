@@ -15,7 +15,7 @@ object BenchEnv {
   val SF = 1.0
   lazy val env: BenchData.Env = BenchData.standardEnv(SparkSpec.shared, SF)
 
-  /** Returns the shared env with its views re-pointed at the SF=0.2 data —
+  /** Returns the shared env with its views re-pointed at the SF=1.0 data —
     * call this instead of `env` in suites, since the Fig 5 sweep registers
     * the same view names at other scale factors.
     */

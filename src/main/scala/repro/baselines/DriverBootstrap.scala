@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.util.Random
 
-import repro.baselines.Resampling.{Result, deviation, interval}
+import repro.baselines.Resampling.{Result, Z, deviation, interval}
 import repro.util.Stats
 
 /** Classical bootstrap and traditional subsampling computed driver-side over
@@ -14,8 +14,7 @@ import repro.util.Stats
 object DriverBootstrap {
 
   /** Percentile-bootstrap CI for the mean of xs. */
-  def bootstrapMean(xs: Array[Double], b: Int, confidence: Double = 0.95,
-                    seed: Long = 31): Result = {
+  def bootstrapMean(xs: Array[Double], b: Int, seed: Long = 31): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -24,14 +23,13 @@ object DriverBootstrap {
       while (i < n) { s += xs(rng.nextInt(n)); i += 1 }
       s / n
     }
-    interval(full, ests.map(full - _).toSeq, confidence)
+    interval(full, ests.map(full - _).toSeq)
   }
 
   /** Traditional-subsampling CI for the mean: b subsamples of size ns drawn
     * without replacement, deviations scaled by sqrt(ns/n).
     */
-  def subsamplingMean(xs: Array[Double], ns: Int, b: Int,
-                      confidence: Double = 0.95, seed: Long = 37): Result = {
+  def subsamplingMean(xs: Array[Double], ns: Int, b: Int, seed: Long = 37): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -50,7 +48,7 @@ object DriverBootstrap {
       }
       s / ns
     }
-    interval(full, ests.map(deviation(full, ns.toDouble, n.toDouble)).toSeq, confidence)
+    interval(full, ests.map(deviation(full, ns.toDouble, n.toDouble)).toSeq)
   }
 
   /** Variational-subsampling CI for the mean, driver-side reference
@@ -58,8 +56,7 @@ object DriverBootstrap {
     * b subsamples; deviations scaled by sqrt(n_s,i / n); empirical quantiles
     * give the CI (Equation 2).
     */
-  def variationalMean(xs: Array[Double], b: Int, confidence: Double = 0.95,
-                      seed: Long = 41): Result = {
+  def variationalMean(xs: Array[Double], b: Int, seed: Long = 41): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -74,16 +71,15 @@ object DriverBootstrap {
     val devs = (0 until b).filter(counts(_) > 0).map { j =>
       deviation(full, counts(j).toDouble, n.toDouble)(sums(j) / counts(j))
     }
-    interval(full, devs, confidence)
+    interval(full, devs)
   }
 
   /** CLT CI for the mean (reference in Figure 8b), a closed form: b = 0. */
-  def cltMean(xs: Array[Double], confidence: Double = 0.95): Result = {
+  def cltMean(xs: Array[Double]): Result = {
     val n    = xs.length
     val m    = xs.sum / n
     val sd   = Stats.stddev(xs.toSeq)
-    val z    = Stats.normalQuantile(1 - (1 - confidence) / 2)
     Result(m, sd / math.sqrt(n.toDouble),
-      m - z * sd / math.sqrt(n.toDouble), m + z * sd / math.sqrt(n.toDouble), 0)
+      m - Z * sd / math.sqrt(n.toDouble), m + Z * sd / math.sqrt(n.toDouble), 0)
   }
 }

@@ -19,6 +19,12 @@ import repro.util.Stats
   */
 object Resampling {
 
+  /** The confidence level of every interval the baselines report. */
+  val Confidence = 0.95
+
+  /** The two-sided standard-normal quantile of `Confidence` (1.96). */
+  val Z: Double = Stats.normalQuantile(1 - (1 - Confidence) / 2)
+
   /** An estimate with its standard error and confidence interval, read off
     * `b` resample estimates (0 for a closed form). */
   final case class Result(estimate: Double, stderr: Double,
@@ -67,43 +73,40 @@ object Resampling {
     }
   }
 
-  /** SQL aggregate of `kind` ("sum" | "count" | "avg") over the value
-    * `valueExpr` (ignored for count), each row weighted by `weight`. */
+  /** SQL aggregate of `kind` ("sum" | "avg") over the value `valueExpr`,
+    * each row weighted by `weight`. An HT count is the sum of
+    * `1.0 / verdict_sampling_prob`. */
   def aggregate(kind: String, valueExpr: String, weight: String): String = kind match {
     case "sum"   => s"sum(($valueExpr) * $weight)"
-    case "count" => s"sum($weight)"
     case "avg"   => s"(sum(($valueExpr) * $weight) / sum($weight))"
     case other   => throw new IllegalArgumentException(s"unsupported kind: $other")
   }
 
   /** Estimate an aggregate over the sample view with resampling error
-    * bounds. A subsample aggregates about ns of the n rows, so its counts
-    * and sums are scaled by n/ns to the full sample's magnitude.
+    * bounds. A subsample aggregates about ns of the n rows, so its sums are
+    * scaled by n/ns to the full sample's magnitude.
     *
     * @param valueExpr SQL value, already HT-weighted by the caller if needed
-    * @param scale     multiplier mapping the sample aggregate to full-table
-    *                  magnitude (1/ratio for an unweighted sum/count; 1 for avg)
     */
   def estimate(spark: SparkSession, view: String, kind: String,
                valueExpr: String, where: Option[String], b: Int,
-               method: Method, scale: Double = 1.0,
-               confidence: Double = 0.95): Result = {
+               method: Method): Result = {
     val w = where.map(x => s" WHERE $x").getOrElse("")
     val perResample = spark.sql(
       s"SELECT rid, ${aggregate(kind, valueExpr, "mult")} AS est " +
         s"FROM (${relation(view, b, method)}) t$w GROUP BY rid").collect()
     val full = spark.sql(
       s"SELECT ${aggregate(kind, valueExpr, "1")} AS est FROM $view t$w")
-      .head().getAs[Any]("est").toString.toDouble * scale
+      .head().getAs[Any]("est").toString.toDouble
     val size = method match {
       case Subsampling(n, ns) if kind != "avg" => n.toDouble / ns
       case _                                   => 1.0
     }
-    val ests = perResample.map(_.getAs[Any]("est").toString.toDouble * size * scale).toSeq
+    val ests = perResample.map(_.getAs[Any]("est").toString.toDouble * size).toSeq
     interval(full, method match {
       case Bootstrap          => ests.map(full - _)
       case Subsampling(n, ns) => ests.map(deviation(full, ns.toDouble, n.toDouble))
-    }, confidence)
+    })
   }
 
   /** The deviation of an estimate `e` over ns rows from the estimate `full`
@@ -114,10 +117,11 @@ object Resampling {
   /** The one CI rule: given the deviations `devs` of the resample estimates
     * from `full`, each scaled to the spread of `full`, the interval is
     * [full - q(1 - alpha/2), full - q(alpha/2)] over their empirical
-    * quantiles q, and the standard error is their standard deviation.
+    * quantiles q, with alpha = 1 - `Confidence`, and the standard error is
+    * their standard deviation.
     */
-  def interval(full: Double, devs: Seq[Double], confidence: Double): Result = {
-    val alpha = 1 - confidence
+  def interval(full: Double, devs: Seq[Double]): Result = {
+    val alpha = 1 - Confidence
     Result(full, Stats.stddev(devs),
       full - Stats.quantile(devs, 1 - alpha / 2),
       full - Stats.quantile(devs, alpha / 2),

@@ -83,7 +83,6 @@ object Ast {
   final case class JoinCond(leftAlias: String, leftCol: String,
                             rightAlias: String, rightCol: String) {
     def sql: String = s"$leftAlias.$leftCol = $rightAlias.$rightCol"
-    def touches(alias: String): Boolean = leftAlias == alias || rightAlias == alias
     def colFor(alias: String): Option[String] =
       if (leftAlias == alias) Some(leftCol)
       else if (rightAlias == alias) Some(rightCol) else None

@@ -54,10 +54,6 @@ final class SampleCatalog {
     byBase.getOrElse(baseTable.toLowerCase, mutable.ArrayBuffer.empty).toSeq
 
   def allSamples: Seq[SampleInfo] = byBase.values.flatten.toSeq
-
-  def hasSamples(baseTable: String): Boolean = samplesFor(baseTable).nonEmpty
-
-  def clear(): Unit = byBase.clear()
 }
 
 object SampleCatalog {

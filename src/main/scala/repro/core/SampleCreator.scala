@@ -74,7 +74,6 @@ object SampleCreator {
     * execution coalesces a column-pruned count's partitions differently.
     */
   def stratified(df: DataFrame, baseTable: String, cols: Seq[String], tau: Double,
-                 delta: Double = Staircase.DefaultDelta,
                  seed: Long = 11): (DataFrame, SampleInfo) = {
     require(cols.nonEmpty, "stratified sample needs a column set")
     require(tau > 0 && tau <= 1, s"tau out of (0,1]: $tau")
@@ -85,7 +84,7 @@ object SampleCreator {
       max("verdict_strata_size")).head()
     val (baseRows, d, maxSize) = (strata.getLong(0), strata.getLong(1), strata.getLong(2))
     val m = math.max(1L, math.ceil(baseRows * tau / d.toDouble).toLong)
-    val probSql  = Staircase.caseExpression("verdict_strata_size", m, maxSize, delta)
+    val probSql  = Staircase.caseExpression("verdict_strata_size", m, maxSize)
     val s = df.join(sizes, cols)
       .withColumn(ProbCol, expr(probSql))
       .where(rand(seed) < col(ProbCol))
@@ -97,9 +96,8 @@ object SampleCreator {
     (s, info)
   }
 
-  /** Create a sample of any type. `seed` drives a uniform sample's draw
-    * (`uniform`'s default if None); a stratified sample keeps its own
-    * default seed.
+  /** Create a sample of any type. `seed` drives a uniform or stratified
+    * sample's draw (the creator's default if None).
     */
   def create(df: DataFrame, baseTable: String, sampleType: SampleType,
              columns: Seq[String], tau: Double,
@@ -108,7 +106,9 @@ object SampleCreator {
       case SampleType.Uniform    =>
         seed.fold(uniform(df, baseTable, tau))(uniform(df, baseTable, tau, _))
       case SampleType.Hashed     => hashed(df, baseTable, columns, tau)
-      case SampleType.Stratified => stratified(df, baseTable, columns, tau)
+      case SampleType.Stratified =>
+        seed.fold(stratified(df, baseTable, columns, tau))(
+          stratified(df, baseTable, columns, tau, _))
     }
 
   /** Materialize a sample as a cached temp view and register its metadata.

@@ -44,11 +44,7 @@ final case class VerdictResult(
     approximate: Boolean,
     rewrittenSql: Option[String],
     errColumns: Map[String, String],
-    notes: String = "") {
-  /** 1-alpha confidence half-width multiplier applied to *_err columns. */
-  def confidenceInterval(alpha: Double = 0.05): Double =
-    Stats.normalQuantile(1 - alpha / 2)
-}
+    notes: String = "")
 
 /** The VerdictDB middleware (Figure 1): intercepts SQL, rewrites supported
   * aggregate queries onto prepared samples, executes only standard SQL on
@@ -94,22 +90,21 @@ final class Verdict(val spark: SparkSession,
   }
 
   /** Appendix F's default policy: uniform always; hashed samples on the
-    * highest-cardinality columns (card > 1% of |T|); stratified samples on
-    * the lowest-cardinality columns (card < 1% of |T|).
+    * two highest-cardinality columns (card > 1% of |T|); stratified samples
+    * on the two lowest-cardinality columns (card < 1% of |T|). Each sample
+    * holds at least `config.tau` of the table and aims at 10 M rows.
     */
-  def createDefaultSamples(baseTable: String,
-                           maxHashed: Int = 2, maxStratified: Int = 2,
-                           rowTarget: Long = 10_000_000L): Seq[SampleInfo] = {
+  def createDefaultSamples(baseTable: String): Seq[SampleInfo] = {
     val st  = stats.getOrElse(baseTable.toLowerCase,
       registerTable(baseTable, spark.table(baseTable)))
-    val tau = math.min(1.0, math.max(config.tau, rowTarget.toDouble / math.max(1L, st.rows)))
+    val tau = math.min(1.0, math.max(config.tau, 10_000_000.0 / math.max(1L, st.rows)))
     val created = Seq.newBuilder[SampleInfo]
     created += createSample(baseTable, SampleType.Uniform, tau = tau)
     val threshold = 0.01 * st.rows
     val high = st.cardinalities.toSeq.filter(_._2 > threshold)
-      .sortBy(-_._2).take(maxHashed)
+      .sortBy(-_._2).take(2)
     val low = st.cardinalities.toSeq.filter(c => c._2 < threshold && c._2 > 1)
-      .sortBy(_._2).take(maxStratified)
+      .sortBy(_._2).take(2)
     high.foreach { case (c, _) =>
       created += createSample(baseTable, SampleType.Hashed, Seq(c), tau)
     }
@@ -204,7 +199,9 @@ final class Verdict(val spark: SparkSession,
     * rows: the query's columns in order, then the error columns when
     * configured. With an accuracy requirement, the High-level Accuracy
     * Contract (Section 2.4) checks the same rows: if any estimated relative
-    * error violates it, the original query reruns exactly.
+    * error violates it, or an estimate has no error (NULL or NaN, as from a
+    * group whose rows all fall in one subsample), the original query reruns
+    * exactly.
     */
   private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten, rows: Long,
                   notes: String): VerdictResult = {
@@ -218,8 +215,9 @@ final class Verdict(val spark: SparkSession,
     val violated = config.accuracyRequirement.filter(maxRelErr => collected.exists(row =>
       rw.errColumns.exists { case (estCol, errCol) =>
         (num(row.getAs[Any](estCol)), num(row.getAs[Any](errCol))) match {
-          case (Some(e), Some(s)) => e != 0.0 && z * s / math.abs(e) > maxRelErr
-          case _                  => false
+          case (Some(e), Some(s)) if !s.isNaN => e != 0.0 && z * s / math.abs(e) > maxRelErr
+          case (Some(_), _)                   => true // no error backs the estimate
+          case _                              => false
         }
       }))
     violated match {

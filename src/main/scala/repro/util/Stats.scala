@@ -2,25 +2,13 @@ package repro.util
 
 /** Numerical statistics substrate used across the reproduction.
   *
-  * Provides the error function family (erf / erfc / erfcInv), normal
-  * quantiles (Acklam's rational approximation), and binomial helpers.
-  * Lemma 1 of the paper (the staircase sampling probability) is built on
-  * `erfcInv`; the CLT baseline (Section 6.5) uses `normalQuantile`.
+  * Provides the complementary error function and its inverse (erfc /
+  * erfcInv), normal quantiles (Acklam's rational approximation), and
+  * binomial helpers. Lemma 1 of the paper (the staircase sampling
+  * probability) is built on `erfcInv`; the CLT baseline (Section 6.5) uses
+  * `normalQuantile`.
   */
 object Stats {
-
-  /** Error function, Abramowitz & Stegun 7.1.26 (|err| < 1.5e-7). */
-  def erf(x: Double): Double = {
-    val sign = if (x < 0) -1.0 else 1.0
-    val ax   = math.abs(x)
-    val t    = 1.0 / (1.0 + 0.3275911 * ax)
-    val y = 1.0 - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t
-      - 0.284496736) * t + 0.254829592) * t * math.exp(-ax * ax)
-    sign * y
-  }
-
-  /** Complementary error function erfc(x) = 1 - erf(x). */
-  def erfc(x: Double): Double = 1.0 - erf(x)
 
   /** Inverse standard-normal CDF via Acklam's algorithm (|rel err| < 1.15e-9),
     * refined with one Halley step against the high-accuracy CDF.
@@ -58,14 +46,15 @@ object Stats {
     x - u / (1 + x * u / 2)
   }
 
-  /** Standard normal CDF (via erfcAccurate for double-precision tails). */
-  def normalCdf(x: Double): Double = 0.5 * erfcAccurate(-x / math.sqrt(2.0))
+  /** Standard normal CDF (via erfc for double-precision tails). */
+  def normalCdf(x: Double): Double = 0.5 * erfc(-x / math.sqrt(2.0))
 
-  /** High-accuracy erfc via the continued-fraction/series split
-    * (Numerical Recipes `erfc` rational Chebyshev fit, |rel err| < 1.2e-7
-    * improved by symmetry; adequate for CDF work far into the tails).
+  /** Complementary error function erfc(x) = 1 - erf(x), via the
+    * continued-fraction/series split (Numerical Recipes `erfc` rational
+    * Chebyshev fit, |rel err| < 1.2e-7 improved by symmetry; adequate for
+    * CDF work far into the tails).
     */
-  def erfcAccurate(x: Double): Double = {
+  def erfc(x: Double): Double = {
     val z = math.abs(x)
     val t = 2.0 / (2.0 + z)
     val ty = 4.0 * t - 2.0

@@ -12,12 +12,14 @@ import scala.util.Random
   */
 class BaselinesSpec extends SparkSpec {
 
-  private lazy val sampleView: (Long, Double) = {
+  /** A tau=0.2 uniform sample of lineitem, registered on first use: its
+    * view and its row count. */
+  private lazy val sample: (String, Long) = {
     val li = TestData.li
     li.createOrReplaceTempView("lineitem")
     val (s, info) = SampleCreator.uniform(li, "lineitem", 0.2, seed = 19)
     s.cache().createOrReplaceTempView("bl_sample")
-    (info.sampleRows, info.ratio)
+    ("bl_sample", info.sampleRows)
   }
 
   private lazy val exactSumQty: Double =
@@ -26,9 +28,9 @@ class BaselinesSpec extends SparkSpec {
     spark.sql("SELECT avg(l_quantity) AS a FROM lineitem").head().getDouble(0)
 
   test("traditional subsampling in SQL: estimate, CI, and b subsamples") {
-    val (n, _) = sampleView
+    val (view, n) = sample
     val b = 50; val ns = n / b
-    val r = Resampling.estimate(spark, "bl_sample", "sum",
+    val r = Resampling.estimate(spark, view, "sum",
       s"l_quantity / $ProbCol", None, b, Resampling.Subsampling(n, ns))
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.stderr > 0)
@@ -37,7 +39,8 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("consolidated bootstrap in SQL: estimate and percentile CI") {
-    val r = Resampling.estimate(spark, "bl_sample", "sum",
+    val (view, _) = sample
+    val r = Resampling.estimate(spark, view, "sum",
       s"l_quantity / $ProbCol", None, b = 50, Resampling.Bootstrap)
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.ciLo < r.estimate && r.estimate < r.ciHi)
@@ -45,12 +48,12 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("consolidated bootstrap avg and count kinds") {
-    val ra = Resampling.estimate(spark, "bl_sample", "avg",
+    val (view, _) = sample
+    val ra = Resampling.estimate(spark, view, "avg",
       "l_quantity", None, b = 30, Resampling.Bootstrap)
     assert(math.abs(ra.estimate - exactAvgQty) / exactAvgQty < 0.05)
-    val (n, ratio) = sampleView
-    val rc = Resampling.estimate(spark, "bl_sample", "count",
-      "1", None, b = 30, Resampling.Bootstrap, scale = 1.0 / ratio)
+    val rc = Resampling.estimate(spark, view, "sum",
+      s"1.0 / $ProbCol", None, b = 30, Resampling.Bootstrap)
     assert(math.abs(rc.estimate - TestData.li.count()) / TestData.li.count() < 0.05)
   }
 

@@ -49,7 +49,6 @@ class AstSpec extends AnyFunSuite {
   test("JoinCond rendering and lookup") {
     val jc = JoinCond("a", "x", "b", "y")
     assert(jc.sql == "a.x = b.y")
-    assert(jc.touches("a") && jc.touches("b") && !jc.touches("c"))
     assert(jc.colFor("a").contains("x") && jc.colFor("b").contains("y"))
     assert(jc.colFor("c").isEmpty)
   }

@@ -12,8 +12,7 @@ class SampleCatalogSpec extends AnyFunSuite {
     c.register(info("LineItem", "s1"))
     assert(c.samplesFor("lineitem").map(_.sampleTable) == Seq("s1"))
     assert(c.samplesFor("LINEITEM").map(_.sampleTable) == Seq("s1"))
-    assert(c.hasSamples("lineitem"))
-    assert(!c.hasSamples("orders"))
+    assert(c.samplesFor("orders").isEmpty)
   }
 
   test("multiple samples per base table preserve insertion order") {
@@ -21,13 +20,6 @@ class SampleCatalogSpec extends AnyFunSuite {
     c.register(info("t", "a")); c.register(info("t", "b")); c.register(info("u", "c"))
     assert(c.samplesFor("t").map(_.sampleTable) == Seq("a", "b"))
     assert(c.allSamples.map(_.sampleTable) == Seq("a", "b", "c"))
-  }
-
-  test("clear empties the catalog") {
-    val c = new SampleCatalog
-    c.register(info("t", "a"))
-    c.clear()
-    assert(c.allSamples.isEmpty)
   }
 
   test("ratio is sampleRows / baseRows, 1.0 on empty base") {

@@ -54,7 +54,7 @@ class StaircaseSpec extends AnyFunSuite {
 
   test("fm-based sampling hits the minimum with probability >= 1-delta (exact binomial)") {
     for ((m, n) <- Seq((10L, 100L), (20L, 500L), (50L, 5000L))) {
-      val p = Staircase.fm(m, n, delta = 0.001)
+      val p = Staircase.fm(m, n)
       // P(X >= m) = 1 - P(X <= m-1)
       val hit = 1 - Stats.binomialCdf(m.toInt - 1, n.toInt, p)
       // allow slack for the normal approximation at small n
@@ -90,7 +90,6 @@ class StaircaseSpec extends AnyFunSuite {
 
   test("steps rejects invalid arguments") {
     intercept[IllegalArgumentException](Staircase.steps(0, 100))
-    intercept[IllegalArgumentException](Staircase.steps(10, 100, growth = 1.0))
   }
 
   test("caseExpression renders descending thresholds ending in ELSE 1.0") {

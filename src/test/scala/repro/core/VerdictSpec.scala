@@ -206,23 +206,20 @@ class VerdictSpec extends SparkSpec {
     val df = SynthData.lineitem(spark, 0.001)
     val v  = new Verdict(spark, VerdictConfig(tau = 0.1))
     v.registerTable("policy_t", df)
-    val infos = v.createDefaultSamples("policy_t", maxHashed = 1, maxStratified = 1,
-      rowTarget = 600)
-    assert(infos.exists(_.sampleType == SampleType.Uniform))
+    val infos = v.createDefaultSamples("policy_t")
+    // a table of fewer than 10 M rows is sampled whole
+    assert(infos.forall(_.tau == 1.0), infos)
+    assert(infos.count(_.sampleType == SampleType.Uniform) == 1)
+    // two columns each: more than two lie on each side of 1% of |T|
     val hashed = infos.filter(_.sampleType == SampleType.Hashed)
-    assert(hashed.size == 1 && hashed.head.columns.size == 1)
+    assert(hashed.size == 2 && hashed.forall(_.columns.size == 1))
     val strat = infos.filter(_.sampleType == SampleType.Stratified)
-    assert(strat.size == 1 && strat.head.columns.size == 1)
-    // hashed goes to a higher-cardinality column than stratified
+    assert(strat.size == 2 && strat.forall(_.columns.size == 1))
+    // hashed goes to higher-cardinality columns than stratified
     val st = v.tableStats("policy_t").get
-    assert(st.cardinalities(hashed.head.columns.head.toLowerCase) >
-      st.cardinalities(strat.head.columns.head.toLowerCase))
+    def card(i: SampleInfo) = st.cardinalities(i.columns.head.toLowerCase)
+    assert(hashed.map(card).min > strat.map(card).max)
     assert(v.catalog.samplesFor("policy_t").size == infos.size)
-  }
-
-  test("confidence-interval multiplier matches the normal quantile") {
-    val r = vExact.sql("SELECT count(*) AS c FROM lineitem")
-    assert(math.abs(r.confidenceInterval(0.05) - 1.959964) < 1e-4)
   }
 
   test("count(1) is treated as count(*)") {
@@ -289,6 +286,36 @@ class VerdictSpec extends SparkSpec {
     val r = v.sql("SELECT sum(x) AS s FROM hac_noerr_t")
     assert(!r.approximate && r.notes.startsWith("HAC violated"), r.notes)
     assert(r.df.head().getDouble(0) == 400.0 * 401 / 2)
+  }
+
+  for ((name, oneRowGroup) <- Seq(
+         "HAC: a group whose rows fall in one subsample has no error and reruns exactly" -> true,
+         "HAC: the same table without that group stays approximate" -> false))
+    test(name) {
+      import spark.implicits._
+      val rows = (1 to 400).map(i => (i % 3, i.toDouble)) ++
+        (if (oneRowGroup) Seq((9, 1.0)) else Seq.empty)
+      val table = s"hac_single_${oneRowGroup}_t"
+      val v = new Verdict(spark, VerdictConfig(budgetFraction = 1.0, tau = 1.0,
+        accuracyRequirement = Some(0.5)))
+      v.registerTable(table, rows.toDF("g", "x"))
+      v.createSample(table, SampleType.Uniform, tau = 1.0)
+      val r = v.sql(s"SELECT g, sum(x) AS s FROM $table GROUP BY g")
+      if (oneRowGroup) assert(!r.approximate && r.notes.startsWith("HAC violated"), r.notes)
+      else assert(r.approximate, r.notes)
+    }
+
+  test("createSample draws a stratified sample with the configured seed") {
+    import spark.implicits._
+    val df = (1 to 2000).map(i => (i % 2, i)).toDF("g", "x")
+    def drawn(seed: Long): Set[Int] = {
+      val v = new Verdict(spark, VerdictConfig(tau = 0.1, seed = seed))
+      v.registerTable("seeded_t", df)
+      val info = v.createSample("seeded_t", SampleType.Stratified, Seq("g"))
+      spark.table(info.sampleTable).select("x").as[Int].collect().toSet
+    }
+    assert(drawn(1) == drawn(1), "equal seeds draw the same rows")
+    assert(drawn(1) != drawn(2), "different seeds draw different rows")
   }
 
   for ((name, requirement) <- Seq(
