@@ -194,8 +194,8 @@ final class Verdict(val spark: SparkSession,
     else scala.Right(infos)
   }
 
-  /** Runs the rewritten statement once, collecting it at the shuffle width
-    * of the `rows` it reads (`Verdict.shuffleWidth`). The answer is those
+  /** Runs the rewritten statement once, collecting it with the settings of
+    * the `rows` it reads (`Verdict.statementSettings`). The answer is those
     * rows: the query's columns in order, then the error columns when
     * configured. With an accuracy requirement, the High-level Accuracy
     * Contract (Section 2.4) checks the same rows: if any estimated relative
@@ -205,8 +205,9 @@ final class Verdict(val spark: SparkSession,
     */
   private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten, rows: Long,
                   notes: String): VerdictResult = {
-    val width = Verdict.shuffleWidth(rows, spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt)
-    val (collected, schema) = Verdict.withShuffleWidth(spark, width) {
+    val settings =
+      Verdict.statementSettings(rows, spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt)
+    val (collected, schema) = Verdict.withSettings(spark, settings) {
       val stmt = spark.sql(rw.sql)
       (stmt.collect(), stmt.schema)
     }
@@ -247,17 +248,43 @@ object Verdict {
   def shuffleWidth(rows: Long, sessionWidth: Int): Int =
     math.max(1L, math.min(sessionWidth.toLong, (rows - 1) / RowsPerPartition + 1)).toInt
 
-  /** Runs `body` with the session's shuffle width set to `width`, and puts
-    * the old setting back when `body` returns or throws. Spark reads the
-    * setting when it plans and when adaptive execution re-plans, so only
-    * work that `body` itself runs holds the width. The setting is the
-    * session's: a statement another thread runs on it meanwhile sees it too.
+  /** Rows up to which a rewritten statement runs without generated code.
+    * With it, a statement compiles its classes on every run, at about 10 ms
+    * a class: a fresh `rand` seed is a new class, and the few dozen
+    * statements of a workload overflow Spark's static cache of 100 classes
+    * (`spark.sql.codegen.cache.maxEntries`). Up to a few hundred thousand
+    * rows, interpreting runs about as fast as compiled code. See DESIGN.md
+    * §4 for the timings behind the value.
     */
-  def withShuffleWidth[A](spark: SparkSession, width: Int)(body: => A): A = {
-    val key = SQLConf.SHUFFLE_PARTITIONS.key
-    val old = spark.conf.getAll.get(key)
-    spark.conf.set(key, width.toLong)
-    try body
-    finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+  val InterpretedRows = 500000L
+
+  /** The session settings a rewritten statement that reads `rows` rows
+    * runs with: its shuffle width (`shuffleWidth`) and, at most
+    * `InterpretedRows` rows, no generated code. That takes both keys:
+    * whole-stage code generation off, and the internal factory mode that
+    * interprets every expression and projection instead of compiling it. A
+    * Spark without the factory-mode key ignores it, and the statement runs
+    * correctly with generated expression code.
+    */
+  def statementSettings(rows: Long, sessionWidth: Int): Seq[(String, String)] =
+    (SQLConf.SHUFFLE_PARTITIONS.key -> shuffleWidth(rows, sessionWidth).toString) +:
+      (if (rows > InterpretedRows) Nil
+       else Seq(SQLConf.WHOLESTAGE_CODEGEN_ENABLED.key -> "false",
+                "spark.sql.codegen.factoryMode"         -> "NO_CODEGEN"))
+
+  /** Runs `body` with the session's `settings`, and puts back each key's old
+    * value, or unsets a key that was unset, when `body` returns or throws.
+    * Spark reads these settings when it plans and when adaptive execution
+    * re-plans, so only work that `body` itself runs holds them. They are
+    * the session's: a statement another thread runs on it meanwhile sees
+    * them too.
+    */
+  def withSettings[A](spark: SparkSession, settings: Seq[(String, String)])(body: => A): A = {
+    val current = spark.conf.getAll
+    val old     = settings.map { case (k, _) => k -> current.get(k) }
+    try {
+      settings.foreach { case (k, v) => spark.conf.set(k, v) }
+      body
+    } finally old.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
   }
 }

@@ -3,7 +3,8 @@ package repro.core
 import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicBoolean
 
-import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan}
+import org.apache.spark.metrics.source.CodegenMetrics
+import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions.{col, count_distinct}
@@ -69,9 +70,10 @@ class VerdictSpec extends SparkSpec {
   private def engineStatements(plans: Seq[SparkPlan]): Seq[SparkPlan] =
     plans.filterNot(_.collectLeaves().forall(_.isInstanceOf[LocalTableScanExec]))
 
-  /** Every shuffle width a statement planned, adaptive query stages included. */
-  private object Exchanges extends AdaptiveSparkPlanHelper {
+  /** What a statement planned, adaptive query stages included. */
+  private object Plans extends AdaptiveSparkPlanHelper {
     def widths(p: SparkPlan): Seq[Int] = collect(p) { case e: ShuffleExchangeExec => e.numPartitions }
+    def codegenStages(p: SparkPlan): Int = collect(p) { case w: WholeStageCodegenExec => w }.size
   }
 
   private def sessionWidth: Int = spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt
@@ -392,7 +394,7 @@ class VerdictSpec extends SparkSpec {
       var r: VerdictResult = null
       val plans = statementsOf { r = wide.sql(q); r.df.collect() }
       assert(r.approximate, r.notes)
-      engineStatements(plans).flatMap(Exchanges.widths)
+      engineStatements(plans).flatMap(Plans.widths)
     }
     val flat = widthsOf("SELECT g, sum(x) AS s FROM width_t GROUP BY g")
     assert(flat.nonEmpty && flat.forall(_ == Verdict.shuffleWidth(sample, sessionWidth)), flat)
@@ -410,20 +412,90 @@ class VerdictSpec extends SparkSpec {
       r.df.collect()
     }
     assert(!r.approximate, r.notes)
-    val widths = plans.flatMap(Exchanges.widths)
+    val widths = plans.flatMap(Plans.widths)
     assert(widths.nonEmpty && widths.forall(_ == sessionWidth), widths)
+    // and its generated code
+    assert(plans.map(Plans.codegenStages).sum > 0, plans)
   }
 
-  test("shuffle width: the session setting is back after a query and after a scope that throws") {
-    val key    = SQLConf.SHUFFLE_PARTITIONS.key
-    val before = spark.conf.get(key)
-    assert(wide.sql("SELECT g, sum(x) AS s FROM width_t GROUP BY g").approximate)
-    assert(spark.conf.get(key) == before)
-    val e = intercept[IllegalStateException](Verdict.withShuffleWidth(spark, 3) {
-      assert(spark.conf.get(key) == "3")
-      throw new IllegalStateException("inside the scope")
-    })
-    assert(e.getMessage == "inside the scope")
-    assert(spark.conf.get(key) == before)
+  // ------------------------------------------ statements without generated code --
+
+  private val wholeStageKey = SQLConf.WHOLESTAGE_CODEGEN_ENABLED.key
+  private val factoryKey    = "spark.sql.codegen.factoryMode"
+
+  test("interpreted: generated code above InterpretedRows, none at or below it") {
+    import Verdict.{InterpretedRows => I, statementSettings}
+    val off = Seq(wholeStageKey -> "false", factoryKey -> "NO_CODEGEN")
+    for (rows <- Seq(0L, 3300L, 60001L, I); session <- Seq(1, 64))
+      assert(statementSettings(rows, session) ==
+        (SQLConf.SHUFFLE_PARTITIONS.key -> Verdict.shuffleWidth(rows, session).toString) +: off,
+        s"$rows rows, session $session")
+    for (rows <- Seq(I + 1, 7500000L, Long.MaxValue))
+      assert(statementSettings(rows, 64) ==
+        Seq(SQLConf.SHUFFLE_PARTITIONS.key -> Verdict.shuffleWidth(rows, 64).toString), rows)
+  }
+
+  test("interpreted: a second run of a small query compiles nothing") {
+    val q = "SELECT g, sum(x) AS s, avg(x) AS a FROM width_t GROUP BY g"
+    assert(wide.catalog.samplesFor("width_t").head.sampleRows <= Verdict.InterpretedRows)
+    wide.sql(q).df.collect()
+    var r: VerdictResult = null
+    var compiles         = -1L
+    val plans = statementsOf {
+      val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+      r = wide.sql(q) // a fresh rand seed, which generated code would compile
+      r.df.collect()
+      compiles = CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before
+    }
+    assert(r.approximate, r.notes)
+    assert(compiles == 0, s"$compiles compilations")
+    val statements = engineStatements(plans)
+    assert(statements.nonEmpty && statements.forall(Plans.codegenStages(_) == 0), statements)
+  }
+
+  test("interpreted: a statement returns the same rows with and without generated code") {
+    val sample = wide.catalog.samplesFor("width_t").head.sampleRows
+    val off    = Verdict.statementSettings(sample, sessionWidth)
+    val on     = off.filter(_._1 == SQLConf.SHUFFLE_PARTITIONS.key)
+    assert(off.size == 3 && on.size == 1, off)
+    Seq("SELECT g, sum(x) AS s, avg(x) AS a, count(*) AS c FROM width_t GROUP BY g",
+        "SELECT g, max(x) AS mx, sum(x) AS s FROM width_t GROUP BY g").foreach { q =>
+      val stmt = wide.sql(q).rewrittenSql.get
+      def rows(settings: Seq[(String, String)]) =
+        Verdict.withSettings(spark, settings)(spark.sql(stmt).collect())
+          .map(_.toSeq).sortBy(_.head.toString).toSeq
+      val (compiled, interpreted) = (rows(on), rows(off))
+      assert(compiled.size == interpreted.size && compiled.nonEmpty, q)
+      compiled.zip(interpreted).foreach { case (a, b) =>
+        assert(a.size == b.size, q)
+        a.zip(b).foreach {
+          case (x: Double, y: Double) =>
+            assert(x == y || math.abs(x - y) <= 1e-9 * math.max(math.abs(x), math.abs(y)),
+              s"$q: $x vs $y")
+          case (x, y) => assert(x == y, s"$q: $x vs $y")
+        }
+      }
+    }
+  }
+
+  test("statement settings: all three keys are restored") {
+    val widthKey = SQLConf.SHUFFLE_PARTITIONS.key
+    def current  = { val all = spark.conf.getAll; Seq(widthKey, wholeStageKey, factoryKey).map(all.get) }
+    // the width is set explicitly for the session, the factory mode is unset,
+    // and whole-stage code generation is set here
+    spark.conf.set(wholeStageKey, "true")
+    try {
+      val before = current
+      assert(before == Seq(Some(sessionWidth.toString), Some("true"), None))
+      assert(wide.sql("SELECT g, sum(x) AS s FROM width_t GROUP BY g").approximate)
+      assert(current == before)
+      val e = intercept[IllegalStateException](
+        Verdict.withSettings(spark, Verdict.statementSettings(1L, sessionWidth)) {
+          assert(current == Seq(Some("1"), Some("false"), Some("NO_CODEGEN")))
+          throw new IllegalStateException("inside the scope")
+        })
+      assert(e.getMessage == "inside the scope")
+      assert(current == before)
+    } finally spark.conf.unset(wholeStageKey)
   }
 }
