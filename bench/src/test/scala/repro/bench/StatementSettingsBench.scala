@@ -63,8 +63,9 @@ class StatementSettingsBench extends SparkSpec with AdaptiveSparkPlanHelper {
     println(s"  statement     rows  rule  " + fixed.map(w => f"w=$w%-5d").mkString(" ") + "  rule ms")
     val results = statements.map { case (name, stmt, rows) =>
       val rule = Verdict.shuffleWidth(rows, session)
-      def ms(w: Int) = Verdict.withSettings(spark, width(w)) {
-        Timing.minMs(reps = 5, warmup = 2)(spark.sql(stmt).collect())
+      def ms(w: Int) = {
+        val configured = Verdict.statementSession(spark, width(w))
+        Timing.minMs(reps = 5, warmup = 2)(configured.sql(stmt).collect())
       }
       val byWidth = fixed.map(w => w -> ms(w)).toMap
       val ruleMs  = byWidth.getOrElse(rule, ms(rule))
@@ -93,13 +94,14 @@ class StatementSettingsBench extends SparkSpec with AdaptiveSparkPlanHelper {
       val interpreted = rows <= Verdict.InterpretedRows
       val w           = Verdict.shuffleWidth(rows, session)
       // a fresh seed per run, as each Verdict.sql renders one
-      def ms(codegen: Boolean) =
-        Verdict.withSettings(spark, if (codegen) width(w) else width(w) ++ noCodegen) {
-          Timing.minMs(reps = 5, warmup = 2) {
-            seed += 7919
-            spark.sql(stmt.replaceAll("""rand\(-?\d+\)""", s"rand($seed)")).collect()
-          }
+      def ms(codegen: Boolean) = {
+        val configured =
+          Verdict.statementSession(spark, if (codegen) width(w) else width(w) ++ noCodegen)
+        Timing.minMs(reps = 5, warmup = 2) {
+          seed += 7919
+          configured.sql(stmt.replaceAll("""rand\(-?\d+\)""", s"rand($seed)")).collect()
         }
+      }
       val (compiled, interp) = (ms(codegen = true), ms(codegen = false))
       println(f"  $name%-10s $rows%8d $w%6d  $compiled%9.1f  $interp%11.1f  " +
         (if (interpreted) "interpreted" else "generated"))

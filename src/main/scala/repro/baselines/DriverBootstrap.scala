@@ -2,7 +2,8 @@ package repro.baselines
 
 import scala.util.Random
 
-import repro.baselines.Resampling.{Result, Z, deviation, interval}
+import repro.baselines.Resampling.{Result, deviation, interval}
+import repro.core.Verdict.Z
 import repro.util.Stats
 
 /** Classical bootstrap and traditional subsampling computed driver-side over

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.Verdict.Confidence
 import repro.util.Stats
 
 /** The O(b*n) error-estimation baselines expressed in SQL: traditional
@@ -18,12 +19,6 @@ import repro.util.Stats
   * the engine's codegen with thousands of projections.)
   */
 object Resampling {
-
-  /** The confidence level of every interval the baselines report. */
-  val Confidence = 0.95
-
-  /** The two-sided standard-normal quantile of `Confidence` (1.96). */
-  val Z: Double = Stats.normalQuantile(1 - (1 - Confidence) / 2)
 
   /** An estimate with its standard error and confidence interval, read off
     * `b` resample estimates (0 for a closed form). */

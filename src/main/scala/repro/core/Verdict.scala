@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.sql.{DataFrame, SessionClone, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.internal.SQLConf
 
@@ -26,13 +28,11 @@ final case class VerdictConfig(
     /** optional minimum accuracy (max relative error) enforced via HAC:
       * when an estimated error violates it, rerun exactly. */
     accuracyRequirement: Option[Double] = None,
-    /** confidence level for intervals and HAC checks. */
-    confidence: Double = 0.95,
     /** include *_err columns in the output (off = transparent mode). */
     errorColumns: Boolean = true,
-    /** sample-planner settings; its budgetFraction is replaced by the one above. */
-    plannerConfig: SamplePlanner.Config = SamplePlanner.Config(),
-    seed: Long = 42)
+    seed: Long = 42) {
+  def plannerConfig: SamplePlanner.Config = SamplePlanner.Config(budgetFraction)
+}
 
 /** Result of a Verdict query: the answer DataFrame, whether it was
   * approximated, and bookkeeping for inspection/tests. An approximate
@@ -56,7 +56,7 @@ final class Verdict(val spark: SparkSession,
 
   val catalog                  = new SampleCatalog
   private val stats            = mutable.LinkedHashMap.empty[String, TableStats]
-  private var queryCounter     = 0L
+  private val queryCounter     = new AtomicLong
 
   // ------------------------------------------------------------- sample prep
 
@@ -133,8 +133,7 @@ final class Verdict(val spark: SparkSession,
     * A supported query becomes one rewritten statement that runs once.
     */
   def sql(query: String): VerdictResult = {
-    queryCounter += 1
-    val qseed = config.seed + 7919 * queryCounter
+    val qseed = config.seed + 7919 * queryCounter.incrementAndGet()
     parse(query) match {
       case scala.Left(reason) => passthrough(query, s"unsupported: $reason")
       case scala.Right(q) if q.allAggs.isEmpty => passthrough(query, "no aggregates")
@@ -157,10 +156,10 @@ final class Verdict(val spark: SparkSession,
     val sampled = q.copy(select = q.select.filterNot(extreme.contains))
     // a nested query is planned on its inner query (Section 5.2)
     val unit = sampled.from match { case Seq(DerivedTable(inner, _)) => inner; case _ => sampled }
-    val cfg = config.plannerConfig.copy(budgetFraction = config.budgetFraction)
     val rewritten = for {
       sources <- planningSources(unit)
-      plan    <- SamplePlanner.plan(unit.allAggs, sources, unit.groupBy.map(_.sqlText), cfg)
+      plan    <- SamplePlanner.plan(unit.allAggs, sources, unit.groupBy.map(_.sqlText),
+                   config.plannerConfig)
                    .toRight("no feasible sample plan")
       rw      <- Rewriter.rewritePlan(sampled, extreme, plan.blocks, qseed)
                    .left.map(reason => s"rewrite failed: $reason")
@@ -194,29 +193,26 @@ final class Verdict(val spark: SparkSession,
     else scala.Right(infos)
   }
 
-  /** Runs the rewritten statement once, collecting it with the settings of
-    * the `rows` it reads (`Verdict.statementSettings`). The answer is those
-    * rows: the query's columns in order, then the error columns when
-    * configured. With an accuracy requirement, the High-level Accuracy
-    * Contract (Section 2.4) checks the same rows: if any estimated relative
-    * error violates it, or an estimate has no error (NULL or NaN, as from a
-    * group whose rows all fall in one subsample), the original query reruns
-    * exactly.
-    */
+  /** Runs the rewritten statement once, on a session of its own with the
+    * settings of the `rows` it reads (`Verdict.statementSession`); the
+    * answer is its rows as a local DataFrame: the query's columns, then the
+    * error columns when configured. With an accuracy requirement, HAC
+    * (Section 2.4) checks the same rows: an estimated relative error over
+    * it, or an estimate without error (NULL or NaN, as from a group whose
+    * rows all fall in one subsample), reruns the original query exactly. */
   private def run(query: String, q: FlatQuery, rw: Rewriter.Rewritten, rows: Long,
                   notes: String): VerdictResult = {
     val settings =
       Verdict.statementSettings(rows, spark.conf.get(SQLConf.SHUFFLE_PARTITIONS.key).toInt)
-    val (collected, schema) = Verdict.withSettings(spark, settings) {
-      val stmt = spark.sql(rw.sql)
-      (stmt.collect(), stmt.schema)
-    }
-    val z = Stats.normalQuantile(1 - (1 - config.confidence) / 2)
+    val session   = Verdict.statementSession(spark, settings)
+    val stmt      = session.sql(rw.sql)
+    val collected = try stmt.collect() finally SessionClone.release(session)
     def num(v: Any) = Option(v).map(_.toString.toDouble)
+    import Verdict.Z
     val violated = config.accuracyRequirement.filter(maxRelErr => collected.exists(row =>
       rw.errColumns.exists { case (estCol, errCol) =>
         (num(row.getAs[Any](estCol)), num(row.getAs[Any](errCol))) match {
-          case (Some(e), Some(s)) if !s.isNaN => e != 0.0 && z * s / math.abs(e) > maxRelErr
+          case (Some(e), Some(s)) if !s.isNaN => e != 0.0 && Z * s / math.abs(e) > maxRelErr
           case (Some(_), _)                   => true // no error backs the estimate
           case _                              => false
         }
@@ -226,65 +222,53 @@ final class Verdict(val spark: SparkSession,
       case None =>
         val errCols = if (config.errorColumns) rw.errColumns else Map.empty[String, String]
         val out     = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
-        VerdictResult(spark.createDataFrame(collected.toSeq.asJava, schema).select(out.map(col): _*),
-          approximate = true, Some(rw.sql), errCols, notes)
+        val answer  = spark.createDataFrame(collected.toSeq.asJava, stmt.schema)
+        VerdictResult(answer.select(out.map(col): _*), approximate = true, Some(rw.sql),
+          errCols, notes)
     }
   }
 }
 
 object Verdict {
 
-  /** Rows one shuffle partition of a rewritten statement takes. A statement
-    * over a few thousand sample rows costs more to schedule across the
-    * session's partitions than to aggregate in one; see DESIGN.md §4 for
-    * the timings behind the value.
-    */
+  /** The confidence level of every interval, HAC's check included, and its
+    * two-sided standard-normal quantile (1.96). */
+  val Confidence = 0.95
+  val Z: Double  = Stats.normalQuantile(1 - (1 - Confidence) / 2)
+
+  /** Rows one shuffle partition of a rewritten statement takes: a few
+    * thousand sample rows cost more to schedule across the session's
+    * partitions than to aggregate in one (timings in DESIGN.md §4). */
   val RowsPerPartition = 25000L
 
-  /** The shuffle width of a rewritten statement that reads `rows` rows:
-    * one partition per `RowsPerPartition` rows, at least 1 and at most the
-    * session's width.
-    */
+  /** The shuffle width of a statement that reads `rows` rows: one
+    * partition per `RowsPerPartition` rows, within 1 and the session's. */
   def shuffleWidth(rows: Long, sessionWidth: Int): Int =
     math.max(1L, math.min(sessionWidth.toLong, (rows - 1) / RowsPerPartition + 1)).toInt
 
-  /** Rows up to which a rewritten statement runs without generated code.
-    * With it, a statement compiles its classes on every run, at about 10 ms
-    * a class: a fresh `rand` seed is a new class, and the few dozen
-    * statements of a workload overflow Spark's static cache of 100 classes
-    * (`spark.sql.codegen.cache.maxEntries`). Up to a few hundred thousand
-    * rows, interpreting runs about as fast as compiled code. See DESIGN.md
-    * §4 for the timings behind the value.
-    */
+  /** Rows up to which a rewritten statement runs without generated code:
+    * a fresh `rand` seed is a new class, and a workload's statements
+    * overflow Spark's static cache of 100 classes, so each run would compile
+    * at about 10 ms a class, while up to a few hundred thousand rows
+    * interpreting runs about as fast (timings in DESIGN.md §4). */
   val InterpretedRows = 500000L
 
-  /** The session settings a rewritten statement that reads `rows` rows
-    * runs with: its shuffle width (`shuffleWidth`) and, at most
-    * `InterpretedRows` rows, no generated code. That takes both keys:
-    * whole-stage code generation off, and the internal factory mode that
-    * interprets every expression and projection instead of compiling it. A
-    * Spark without the factory-mode key ignores it, and the statement runs
-    * correctly with generated expression code.
-    */
+  /** The settings of a statement that reads `rows` rows: its shuffle width
+    * and, at most `InterpretedRows` rows, no generated code: whole-stage
+    * code generation off, and the internal factory mode that interprets
+    * each expression (a Spark without that key ignores it). */
   def statementSettings(rows: Long, sessionWidth: Int): Seq[(String, String)] =
     (SQLConf.SHUFFLE_PARTITIONS.key -> shuffleWidth(rows, sessionWidth).toString) +:
       (if (rows > InterpretedRows) Nil
        else Seq(SQLConf.WHOLESTAGE_CODEGEN_ENABLED.key -> "false",
                 "spark.sql.codegen.factoryMode"         -> "NO_CODEGEN"))
 
-  /** Runs `body` with the session's `settings`, and puts back each key's old
-    * value, or unsets a key that was unset, when `body` returns or throws.
-    * Spark reads these settings when it plans and when adaptive execution
-    * re-plans, so only work that `body` itself runs holds them. They are
-    * the session's: a statement another thread runs on it meanwhile sees
-    * them too.
-    */
-  def withSettings[A](spark: SparkSession, settings: Seq[(String, String)])(body: => A): A = {
-    val current = spark.conf.getAll
-    val old     = settings.map { case (k, _) => k -> current.get(k) }
-    try {
-      settings.foreach { case (k, v) => spark.conf.set(k, v) }
-      body
-    } finally old.foreach { case (k, v) => v.fold(spark.conf.unset(k))(spark.conf.set(k, _)) }
+  /** A clone of `spark` (its conf, temp views, functions and listeners)
+    * with `settings` set on the clone only: no statement on `spark` sees
+    * them, whichever thread runs it. */
+  def statementSession(spark: SparkSession, settings: Seq[(String, String)]): SparkSession = {
+    val session = SessionClone(spark)
+    settings.foreach { case (k, v) => session.conf.set(k, v) }
+    session
   }
 }

@@ -114,12 +114,12 @@ object Experiments {
         SampleType.Uniform, tau = tau)
       verdict
     }
-    // a JVM's first queries run slow (code generation, JIT), and the sweep
-    // would charge that to its first scale factor: so every scale factor's
-    // queries run once before any is timed
+    // a JVM's first queries run slow, and the sweep would charge that to its
+    // first scale factor: so every scale factor's queries run 3 times before
+    // any is timed (SF 0.25 still reads slow in a fresh JVM: EXPERIMENTS.md)
     sfs.foreach { sf =>
       val verdict = setUp(sf)
-      queries.foreach { q => spark.sql(q.sql).collect(); verdict.sql(q.sql).df.collect() }
+      for (_ <- 1 to 3; q <- queries) { spark.sql(q.sql).collect(); verdict.sql(q.sql).df.collect() }
     }
     sfs.flatMap { sf =>
       val verdict = setUp(sf)
@@ -307,7 +307,7 @@ object Experiments {
   def correctnessSelectivity(selectivities: Seq[Double], n: Int = 10000,
                              trials: Int = 300, seed: Long = 3): Seq[SelectivityRow] = {
     val rng = new Random(seed)
-    val z   = Resampling.Z
+    val z   = Verdict.Z
     selectivities.map { sel =>
       val truthPct = 100 * z * math.sqrt((1 - sel) / (sel * n))
       val ests = (1 to trials).map { _ =>
@@ -335,7 +335,7 @@ object Experiments {
   def correctnessMethods(ns: Seq[Int], trials: Int = 50, b: Int = 100,
                          seed: Long = 5): Seq[MethodAccuracyRow] = {
     val rng = new Random(seed)
-    val z   = Resampling.Z
+    val z   = Verdict.Z
     ns.flatMap { n =>
       val truthPct = 100 * z * 10.0 / math.sqrt(n.toDouble) / 10.0
       val perMethod = scala.collection.mutable.Map(
@@ -375,7 +375,7 @@ object Experiments {
   def tradeoff(nValues: Seq[Int], bValues: Seq[Int], trials: Int = 30,
                seed: Long = 11): Seq[TradeoffRow] = {
     val rng = new Random(seed)
-    val z   = Resampling.Z
+    val z   = Verdict.Z
     for {
       n <- nValues
       b <- bValues
@@ -410,7 +410,7 @@ object Experiments {
   def subsampleSizeSweep(n: Int = 50000, exponents: Seq[Double] = Seq(0.25, 1.0 / 3, 0.5, 2.0 / 3, 0.75),
                          trials: Int = 200, seed: Long = 13): Seq[SubsampleSizeRow] = {
     val rng = new Random(seed)
-    val z   = Resampling.Z
+    val z   = Verdict.Z
     // Skewed data (lognormal: mean 10, std 10, skewness ~4): with symmetric
     // data the subsample mean is normal at ANY n_s and the n_s^(-1/2)
     // convergence term of Appendix B.3 vanishes, flattening the U-shape the

@@ -97,7 +97,7 @@ class ErrorEstimationSpec extends SparkSpec {
     val b  = VariationalSubsampling.numSubsamples(5000)
     val bd = repro.baselines.DriverBootstrap.variationalMean(xs, b, seed = 77)
     val half = (bd.ciHi - bd.ciLo) / 2
-    val z = Stats.normalQuantile(0.975)
+    val z = Verdict.Z
     assert(err * z > half / 3 && err * z < half * 3,
       s"SQL z*err=${err * z} vs driver half-width=$half")
     // both must be near the CLT truth sigma/sqrt(n)

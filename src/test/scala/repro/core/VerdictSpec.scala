@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.AtomicBoolean
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger}
 
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan, WholeStageCodegenExec}
@@ -462,7 +462,7 @@ class VerdictSpec extends SparkSpec {
         "SELECT g, max(x) AS mx, sum(x) AS s FROM width_t GROUP BY g").foreach { q =>
       val stmt = wide.sql(q).rewrittenSql.get
       def rows(settings: Seq[(String, String)]) =
-        Verdict.withSettings(spark, settings)(spark.sql(stmt).collect())
+        Verdict.statementSession(spark, settings).sql(stmt).collect()
           .map(_.toSeq).sortBy(_.head.toString).toSeq
       val (compiled, interpreted) = (rows(on), rows(off))
       assert(compiled.size == interpreted.size && compiled.nonEmpty, q)
@@ -478,24 +478,99 @@ class VerdictSpec extends SparkSpec {
     }
   }
 
-  test("statement settings: all three keys are restored") {
-    val widthKey = SQLConf.SHUFFLE_PARTITIONS.key
-    def current  = { val all = spark.conf.getAll; Seq(widthKey, wholeStageKey, factoryKey).map(all.get) }
-    // the width is set explicitly for the session, the factory mode is unset,
-    // and whole-stage code generation is set here
+  private val widthKey = SQLConf.SHUFFLE_PARTITIONS.key
+
+  /** The three keys a rewritten statement sets, as the session reads them. */
+  private def sessionKeys: Seq[Option[String]] = {
+    val all = spark.conf.getAll
+    Seq(widthKey, wholeStageKey, factoryKey).map(all.get)
+  }
+
+  /** Runs `body` with whole-stage code generation set explicitly for the
+    * session, as the width is, and the factory mode unset. */
+  private def withSessionKeys(body: Seq[Option[String]] => Unit): Unit = {
     spark.conf.set(wholeStageKey, "true")
     try {
-      val before = current
+      val before = sessionKeys
       assert(before == Seq(Some(sessionWidth.toString), Some("true"), None))
-      assert(wide.sql("SELECT g, sum(x) AS s FROM width_t GROUP BY g").approximate)
-      assert(current == before)
-      val e = intercept[IllegalStateException](
-        Verdict.withSettings(spark, Verdict.statementSettings(1L, sessionWidth)) {
-          assert(current == Seq(Some("1"), Some("false"), Some("NO_CODEGEN")))
-          throw new IllegalStateException("inside the scope")
-        })
-      assert(e.getMessage == "inside the scope")
-      assert(current == before)
+      body(before)
     } finally spark.conf.unset(wholeStageKey)
+  }
+
+  /** Runs `body(i)` on `n` threads at once and rethrows the first failure. */
+  private def concurrently(n: Int)(body: Int => Unit): Unit = {
+    val failures = new ConcurrentLinkedQueue[Throwable]
+    val threads = (0 until n).map { i =>
+      new Thread(() => try body(i) catch { case t: Throwable => failures.add(t) })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    failures.asScala.headOption.foreach(t => throw t)
+  }
+
+  test("statement session: settings on the clone; the caller's keys unchanged") {
+    withSessionKeys { before =>
+      val session = Verdict.statementSession(spark, Verdict.statementSettings(1L, sessionWidth))
+      val all     = session.conf.getAll
+      assert(Seq(widthKey, wholeStageKey, factoryKey).map(all.get) ==
+        Seq(Some("1"), Some("false"), Some("NO_CODEGEN")))
+      assert(session.table("width_t").count() == 60001, "the clone reads the session's temp views")
+      assert(sessionKeys == before)
+      assert(wide.sql("SELECT g, sum(x) AS s FROM width_t GROUP BY g").approximate)
+      assert(sessionKeys == before)
+      // a rewritten statement that throws: its sample's view is gone
+      val v    = tinyVerdict("throwing_t", VerdictConfig(budgetFraction = 1.0, tau = 1.0))
+      spark.catalog.dropTempView(v.catalog.samplesFor("throwing_t").head.sampleTable)
+      intercept[Exception](v.sql("SELECT g, sum(x) AS s FROM throwing_t GROUP BY g"))
+      assert(sessionKeys == before)
+    }
+  }
+
+  // ------------------------------------------------------ concurrent callers --
+
+  private val concurrentQuery = "SELECT g, sum(x) AS s FROM width_t GROUP BY g"
+
+  test("concurrent callers: the session's keys read what they read before") {
+    withSessionKeys { before =>
+      concurrently(2)(_ => (1 to 20).foreach(_ => assert(wide.sql(concurrentQuery).approximate)))
+      assert(sessionKeys == before)
+    }
+  }
+
+  test("concurrent callers: an exact query on another thread keeps its settings") {
+    val stop   = new AtomicBoolean(false)
+    val looped = new AtomicInteger
+    concurrently(2) {
+      case 0 =>
+        while (!stop.get) { wide.sql(concurrentQuery).df.collect(); looped.incrementAndGet() }
+      case _ =>
+        try {
+          val deadline = System.nanoTime() + 60L * 1000 * 1000 * 1000
+          while (looped.get == 0) {
+            assert(System.nanoTime() < deadline, "no Verdict query finished")
+            Thread.sleep(10)
+          }
+          (1 to 20).foreach { i =>
+            val exact = spark.sql(concurrentQuery)
+            exact.collect()
+            val plan = exact.queryExecution.executedPlan
+            assert(Plans.widths(plan).nonEmpty && Plans.widths(plan).forall(_ == sessionWidth),
+              s"run $i: ${Plans.widths(plan)}")
+            assert(Plans.codegenStages(plan) > 0, s"run $i: $plan")
+          }
+        } finally stop.set(true)
+    }
+    assert(looped.get > 0)
+  }
+
+  test("concurrent callers never share a query seed") {
+    val seeds = new ConcurrentLinkedQueue[Seq[String]]
+    concurrently(2)(_ => (1 to 20).foreach { _ =>
+      val sql = wide.sql(concurrentQuery).rewrittenSql.get
+      seeds.add("""rand\((-?\d+)\)""".r.findAllMatchIn(sql).map(_.group(1)).toSeq)
+    })
+    val all = seeds.asScala.toSeq
+    assert(all.size == 40 && all.forall(_.size == 1), all)
+    assert(all.flatten.distinct.size == 40, all.flatten.sorted)
   }
 }
