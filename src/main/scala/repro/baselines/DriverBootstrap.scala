@@ -15,7 +15,7 @@ import repro.util.Stats
 object DriverBootstrap {
 
   /** Percentile-bootstrap CI for the mean of xs. */
-  def bootstrapMean(xs: Array[Double], b: Int, seed: Long = 31): Result = {
+  def bootstrapMean(xs: Array[Double], b: Int, seed: Long): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -30,7 +30,7 @@ object DriverBootstrap {
   /** Traditional-subsampling CI for the mean: b subsamples of size ns drawn
     * without replacement, deviations scaled by sqrt(ns/n).
     */
-  def subsamplingMean(xs: Array[Double], ns: Int, b: Int, seed: Long = 37): Result = {
+  def subsamplingMean(xs: Array[Double], ns: Int, b: Int, seed: Long): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n
@@ -57,7 +57,7 @@ object DriverBootstrap {
     * b subsamples; deviations scaled by sqrt(n_s,i / n); empirical quantiles
     * give the CI (Equation 2).
     */
-  def variationalMean(xs: Array[Double], b: Int, seed: Long = 41): Result = {
+  def variationalMean(xs: Array[Double], b: Int, seed: Long): Result = {
     val rng  = new Random(seed)
     val n    = xs.length
     val full = xs.sum / n

@@ -46,8 +46,7 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     // distinct counts stay unscaled, as no hashed sample is ever chosen.
     // The SQL is just our host representation of what is an engine-internal
     // operator in SnappyData.
-    def htAgg(c: AggCall): String =
-      CellStats.estimate(c, CellStats.statSql(c, _, p), "1", distinctTau = None)
+    def htAgg(c: AggCall): String = CellStats.oneLevel(c, p, "1")
 
     Some(spark.sql(q.sql(
       s => if (s.alias == sampledSrc.alias) s"${info.sampleTable} AS ${s.alias}" else s.sqlExact,

@@ -1,7 +1,10 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
 
+import repro.core.Ast.AggCall
+import repro.core.CellStats
+import repro.core.SampleCatalog.ProbCol
 import repro.core.Verdict.Confidence
 import repro.util.Stats
 
@@ -10,13 +13,14 @@ import repro.util.Stats
   * state-of-the-art baseline of Section 6.4, after Agarwal et al. [10]).
   *
   * Both are one mechanism. Every sample tuple is paired with each of b
-  * resample ids, each pair carries a multiplicity, the aggregate is computed
-  * per resample id with the multiplicities as weights, and a confidence
-  * interval is read off the deviations of the per-resample estimates from
-  * the full-sample one. Construction therefore costs O(b*n). (The paper's
-  * Query 1 aggregates via b `sum(case when sid=j ...)` columns; we aggregate
-  * by `GROUP BY rid`, which has identical asymptotics but does not stress
-  * the engine's codegen with thousands of projections.)
+  * resample ids, each pair carries a multiplicity, the aggregate is
+  * estimated per resample id with the multiplicities as weights (rendered by
+  * `CellStats`, as every HT estimate is), and a confidence interval is read
+  * off the deviations of the per-resample estimates from the full-sample
+  * one. Construction therefore costs O(b*n). (The paper's Query 1
+  * aggregates via b `sum(case when sid=j ...)` columns; we aggregate by
+  * `GROUP BY rid`, which has identical asymptotics but does not stress the
+  * engine's codegen with thousands of projections.)
   */
 object Resampling {
 
@@ -68,36 +72,30 @@ object Resampling {
     }
   }
 
-  /** SQL aggregate of `kind` ("sum" | "avg") over the value `valueExpr`,
-    * each row weighted by `weight`. An HT count is the sum of
-    * `1.0 / verdict_sampling_prob`. */
-  def aggregate(kind: String, valueExpr: String, weight: String): String = kind match {
-    case "sum"   => s"sum(($valueExpr) * $weight)"
-    case "avg"   => s"(sum(($valueExpr) * $weight) / sum($weight))"
-    case other   => throw new IllegalArgumentException(s"unsupported kind: $other")
+  /** SQL estimate of `call` in one resample, grouped by `rid`: its HT
+    * statistics over the probability divided by the pair's multiplicity (a
+    * pair drawn zero times adds nothing). A subsample aggregates about ns of
+    * the n rows, so its counts and sums are scaled by n/ns to the full
+    * sample's magnitude. */
+  def resampleEstimate(call: AggCall, method: Method): String = {
+    val scale = method match {
+      case Subsampling(n, ns) => s"CAST(${n.toDouble / ns} AS DOUBLE)"
+      case Bootstrap          => "1"
+    }
+    CellStats.oneLevel(call, s"$ProbCol / nullif(mult, 0)", scale)
   }
 
-  /** Estimate an aggregate over the sample view with resampling error
-    * bounds. A subsample aggregates about ns of the n rows, so its sums are
-    * scaled by n/ns to the full sample's magnitude.
-    *
-    * @param valueExpr SQL value, already HT-weighted by the caller if needed
-    */
-  def estimate(spark: SparkSession, view: String, kind: String,
-               valueExpr: String, where: Option[String], b: Int,
+  /** Estimate the aggregate `call` over the sample view with resampling
+    * error bounds. Both the full-sample and the per-resample estimates are
+    * `CellStats`'s HT estimates over `view`'s probability column. */
+  def estimate(spark: SparkSession, view: String, call: AggCall, b: Int,
                method: Method): Result = {
-    val w = where.map(x => s" WHERE $x").getOrElse("")
-    val perResample = spark.sql(
-      s"SELECT rid, ${aggregate(kind, valueExpr, "mult")} AS est " +
-        s"FROM (${relation(view, b, method)}) t$w GROUP BY rid").collect()
-    val full = spark.sql(
-      s"SELECT ${aggregate(kind, valueExpr, "1")} AS est FROM $view t$w")
-      .head().getAs[Any]("est").toString.toDouble
-    val size = method match {
-      case Subsampling(n, ns) if kind != "avg" => n.toDouble / ns
-      case _                                   => 1.0
-    }
-    val ests = perResample.map(_.getAs[Any]("est").toString.toDouble * size).toSeq
+    def est(r: Row): Double = r.getAs[Any]("est").toString.toDouble
+    val full = est(spark.sql(
+      s"SELECT ${CellStats.oneLevel(call, ProbCol, "1")} AS est FROM $view").head())
+    val ests = spark.sql(
+      s"SELECT rid, ${resampleEstimate(call, method)} AS est " +
+        s"FROM (${relation(view, b, method)}) t GROUP BY rid").collect().map(est).toSeq
     interval(full, method match {
       case Bootstrap          => ests.map(full - _)
       case Subsampling(n, ns) => ests.map(deviation(full, ns.toDouble, n.toDouble))

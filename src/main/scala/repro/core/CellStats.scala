@@ -14,8 +14,13 @@ import repro.core.Ast._
   *  - point estimate over a group's cells: the pooled statistics, scale 1;
   *  - per-subsample estimate of one cell: its bare statistics, scale b, the
   *    expected sample-to-subsample size ratio;
-  *  - one-level HT aggregate (the integrated-AQP baseline): each statistic's
-  *    own SQL aggregate, scale 1.
+  *  - one-level HT aggregate (`oneLevel`), each statistic its own SQL
+  *    aggregate: the integrated-AQP baseline at scale 1; the resampling
+  *    baselines' full sample at scale 1, and each resample over the
+  *    probability divided by its multiplicity, at its scale.
+  *
+  * It is the one renderer of HT statistics and of the count/sum scale, for
+  * the rewrite and both baselines.
   */
 object CellStats {
 
@@ -91,4 +96,9 @@ object CellStats {
         throw new IllegalArgumentException("extreme statistics have no sample estimate")
     }
   }
+
+  /** One-level estimate of `call` over rows of inclusion probability `prob`
+    * at `scale`, each statistic its own SQL aggregate. */
+  def oneLevel(call: AggCall, prob: String, scale: String): String =
+    estimate(call, statSql(call, _, prob), scale, distinctTau = None)
 }

@@ -219,61 +219,59 @@ object Experiments {
   def errorEstimationOverhead(env: Env, b: Int = 100): Seq[ErrorOverheadRow] = {
     val spark = env.spark
     val p     = SampleCatalog.ProbCol
+    val price = Ast.AggCall(Ast.AggFuncType.Sum, Some("l_extendedprice"))
     val rows  = Seq.newBuilder[ErrorOverheadRow]
 
     def run(shape: String, method: String)(f: => Unit): Unit =
       rows += ErrorOverheadRow(shape, method, Timing.minMs(3)(f))
+    def noErrorEstimate(view: String): Unit =
+      spark.sql(s"SELECT ${CellStats.oneLevel(price, p, "1")} AS s FROM $view").collect()
 
     val n  = env.verdict.catalog.samplesFor("lineitem")
       .find(_.sampleType == SampleType.Uniform).get.sampleRows
     val ns = math.max(1L, n / b)
 
     // ---- flat ----
-    run("flat", "none") {
-      spark.sql(s"SELECT sum(l_extendedprice / $p) AS s FROM lineitem_uniform").collect()
-    }
+    run("flat", "none")(noErrorEstimate("lineitem_uniform"))
     run("flat", "variational") {
       env.verdict.sql("SELECT sum(l_extendedprice) AS s FROM lineitem").df.collect()
     }
     run("flat", "traditional") {
-      Resampling.estimate(spark, "lineitem_uniform", "sum", s"l_extendedprice / $p",
-        None, b, Resampling.Subsampling(n, ns))
+      Resampling.estimate(spark, "lineitem_uniform", price, b, Resampling.Subsampling(n, ns))
     }
     run("flat", "bootstrap") {
-      Resampling.estimate(spark, "lineitem_uniform", "sum", s"l_extendedprice / $p",
-        None, b, Resampling.Bootstrap)
+      Resampling.estimate(spark, "lineitem_uniform", price, b, Resampling.Bootstrap)
     }
 
     // ---- join (hashed x hashed on the order key) ----
-    val joinFrom =
-      "lineitem_hashed_l_orderkey l JOIN orders_hashed_o_orderkey o " +
-        "ON l.l_orderkey = o.o_orderkey"
-    val joinProb = s"least(l.$p, o.$p)"
-    spark.sql(s"SELECT l.*, o.o_orderstatus, $joinProb AS jp FROM $joinFrom")
+    // a joined pair's inclusion probability is the smaller of its sides'
+    // (Section 5.1 / Appendix E.1); it replaces lineitem's own column
+    spark.sql(
+      s"""SELECT l.*, o.o_orderstatus, least(l.$p, o.$p) AS joint_p
+         | FROM lineitem_hashed_l_orderkey l JOIN orders_hashed_o_orderkey o
+         | ON l.l_orderkey = o.o_orderkey""".stripMargin)
+      .drop(p).withColumnRenamed("joint_p", p)
       .createOrReplaceTempView("fig7_join")
     val nj = spark.table("fig7_join").count()
-    run("join", "none") {
-      spark.sql(s"SELECT sum(l_extendedprice / jp) AS s FROM fig7_join").collect()
-    }
+    run("join", "none")(noErrorEstimate("fig7_join"))
     run("join", "variational") {
       env.verdict.sql(
         "SELECT sum(l_extendedprice) AS s FROM lineitem, orders " +
           "WHERE l_orderkey = o_orderkey").df.collect()
     }
     run("join", "traditional") {
-      Resampling.estimate(spark, "fig7_join", "sum", "l_extendedprice / jp",
-        None, b, Resampling.Subsampling(nj, math.max(1L, nj / b)))
+      Resampling.estimate(spark, "fig7_join", price, b,
+        Resampling.Subsampling(nj, math.max(1L, nj / b)))
     }
     run("join", "bootstrap") {
-      Resampling.estimate(spark, "fig7_join", "sum", "l_extendedprice / jp",
-        None, b, Resampling.Bootstrap)
+      Resampling.estimate(spark, "fig7_join", price, b, Resampling.Bootstrap)
     }
 
     // ---- nested (aggregate in FROM) ----
     run("nested", "none") {
       spark.sql(
         s"""SELECT avg(daily) AS a FROM
-           |(SELECT l_linenumber, sum(l_extendedprice / $p) AS daily
+           |(SELECT l_linenumber, ${CellStats.oneLevel(price, p, "1")} AS daily
            | FROM lineitem_uniform GROUP BY l_linenumber) t""".stripMargin).collect()
     }
     run("nested", "variational") {
@@ -284,8 +282,7 @@ object Experiments {
     def nestedPerResample(method: Resampling.Method): Unit =
       spark.sql(
         s"""SELECT rid, avg(daily) AS est FROM
-           |(SELECT rid, l_linenumber,
-           |        ${Resampling.aggregate("sum", s"l_extendedprice / $p", "mult")} AS daily
+           |(SELECT rid, l_linenumber, ${Resampling.resampleEstimate(price, method)} AS daily
            | FROM (${Resampling.relation("lineitem_uniform", b, method)}) x
            | GROUP BY rid, l_linenumber) t GROUP BY rid""".stripMargin).collect()
     run("nested", "traditional")(nestedPerResample(Resampling.Subsampling(n, ns)))
@@ -325,6 +322,17 @@ object Experiments {
 
   // -------------------- Figure 8b: error estimates versus sample size/method --
 
+  /** The driver-side resampling methods of Figures 8b, 12 and 13, each a
+    * CI for the mean of `xs` from `b` resamples (variational subsampling
+    * fixes its own b) and a seed. Traditional subsampling draws sqrt(n)-row
+    * subsamples. */
+  private val resamplers: Seq[(String, (Array[Double], Int, Long) => Resampling.Result)] = Seq(
+    ("bootstrap", (xs, b, seed) => DriverBootstrap.bootstrapMean(xs, b, seed)),
+    ("traditional", (xs, b, seed) => DriverBootstrap.subsamplingMean(xs,
+      math.max(2, math.sqrt(xs.length.toDouble).toInt), b, seed)),
+    ("variational", (xs, _, seed) => DriverBootstrap.variationalMean(xs,
+      VariationalSubsampling.numSubsamples(xs.length.toLong), seed)))
+
   final case class MethodAccuracyRow(n: Int, method: String,
                                      meanPct: Double, p5Pct: Double, p95Pct: Double,
                                      groundTruthPct: Double)
@@ -336,27 +344,18 @@ object Experiments {
                          seed: Long = 5): Seq[MethodAccuracyRow] = {
     val rng = new Random(seed)
     val z   = Verdict.Z
+    def relPct(bd: Resampling.Result): Double =
+      100 * (bd.ciHi - bd.ciLo) / 2 / math.abs(bd.estimate)
     ns.flatMap { n =>
       val truthPct = 100 * z * 10.0 / math.sqrt(n.toDouble) / 10.0
-      val perMethod = scala.collection.mutable.Map(
-        "clt" -> Vector.empty[Double], "bootstrap" -> Vector.empty[Double],
-        "traditional" -> Vector.empty[Double], "variational" -> Vector.empty[Double])
-      for (_ <- 1 to trials) {
+      // per trial: CLT's relative error, then each resampler's
+      val perTrial = (1 to trials).map { _ =>
         val xs = Array.fill(n)(10.0 + 10.0 * rng.nextGaussian())
-        val nsSub = math.max(2, math.sqrt(n.toDouble).toInt)
-        def relPct(bd: Resampling.Result): Double =
-          100 * (bd.ciHi - bd.ciLo) / 2 / math.abs(bd.estimate)
-        perMethod("clt") :+= relPct(DriverBootstrap.cltMean(xs))
-        perMethod("bootstrap") :+= relPct(
-          DriverBootstrap.bootstrapMean(xs, b, seed = rng.nextLong()))
-        perMethod("traditional") :+= relPct(
-          DriverBootstrap.subsamplingMean(xs, nsSub, b, seed = rng.nextLong()))
-        perMethod("variational") :+= relPct(
-          DriverBootstrap.variationalMean(xs,
-            VariationalSubsampling.numSubsamples(n.toLong), seed = rng.nextLong()))
+        relPct(DriverBootstrap.cltMean(xs)) +:
+          resamplers.map { case (_, ci) => relPct(ci(xs, b, rng.nextLong())) }
       }
-      Seq("clt", "bootstrap", "traditional", "variational").map { m =>
-        val es = perMethod(m)
+      ("clt" +: resamplers.map(_._1)).zipWithIndex.map { case (m, i) =>
+        val es = perTrial.map(_(i))
         MethodAccuracyRow(n, m, Stats.mean(es), Stats.quantile(es, 0.05),
           Stats.quantile(es, 0.95), truthPct)
       }
@@ -379,22 +378,15 @@ object Experiments {
     for {
       n <- nValues
       b <- bValues
-      method <- Seq("bootstrap", "traditional", "variational")
+      (method, ci) <- resamplers
     } yield {
       val trueMean  = 10.0
       val trueBound = trueMean + z * 10.0 / math.sqrt(n.toDouble)
       var errSum = 0.0
-      val nsSub  = math.max(2, math.sqrt(n.toDouble).toInt)
       val (_, totalMs) = Timing.time {
         for (_ <- 1 to trials) {
           val xs = Array.fill(n)(10.0 + 10.0 * rng.nextGaussian())
-          val bd = method match {
-            case "bootstrap"   => DriverBootstrap.bootstrapMean(xs, b, seed = rng.nextLong())
-            case "traditional" => DriverBootstrap.subsamplingMean(xs, nsSub, b, seed = rng.nextLong())
-            case "variational" =>
-              DriverBootstrap.variationalMean(xs,
-                VariationalSubsampling.numSubsamples(n.toLong), seed = rng.nextLong())
-          }
+          val bd = ci(xs, b, rng.nextLong())
           errSum += 100 * math.abs(bd.ciHi - trueBound) / trueMean
         }
       }

@@ -1,7 +1,10 @@
 package repro.baselines
 
+import org.apache.spark.sql.Row
+
 import repro.{Oracle, SparkSpec}
 import repro.core._
+import repro.core.Ast.{AggCall, AggFuncType}
 import repro.core.SampleCatalog.ProbCol
 
 import scala.util.Random
@@ -27,11 +30,14 @@ class BaselinesSpec extends SparkSpec {
   private lazy val exactAvgQty: Double =
     spark.sql("SELECT avg(l_quantity) AS a FROM lineitem").head().getDouble(0)
 
+  private val sumQty   = AggCall(AggFuncType.Sum, Some("l_quantity"))
+  private val avgQty   = AggCall(AggFuncType.Avg, Some("l_quantity"))
+  private val countAll = AggCall(AggFuncType.Count, None)
+
   test("traditional subsampling in SQL: estimate, CI, and b subsamples") {
     val (view, n) = sample
     val b = 50; val ns = n / b
-    val r = Resampling.estimate(spark, view, "sum",
-      s"l_quantity / $ProbCol", None, b, Resampling.Subsampling(n, ns))
+    val r = Resampling.estimate(spark, view, sumQty, b, Resampling.Subsampling(n, ns))
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.stderr > 0)
     assert(r.ciLo < r.estimate && r.estimate < r.ciHi)
@@ -40,8 +46,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("consolidated bootstrap in SQL: estimate and percentile CI") {
     val (view, _) = sample
-    val r = Resampling.estimate(spark, view, "sum",
-      s"l_quantity / $ProbCol", None, b = 50, Resampling.Bootstrap)
+    val r = Resampling.estimate(spark, view, sumQty, b = 50, Resampling.Bootstrap)
     assert(math.abs(r.estimate - exactSumQty) / exactSumQty < 0.1)
     assert(r.ciLo < r.estimate && r.estimate < r.ciHi)
     assert(r.b == 50)
@@ -49,12 +54,40 @@ class BaselinesSpec extends SparkSpec {
 
   test("consolidated bootstrap avg and count kinds") {
     val (view, _) = sample
-    val ra = Resampling.estimate(spark, view, "avg",
-      "l_quantity", None, b = 30, Resampling.Bootstrap)
+    val ra = Resampling.estimate(spark, view, avgQty, b = 30, Resampling.Bootstrap)
     assert(math.abs(ra.estimate - exactAvgQty) / exactAvgQty < 0.05)
-    val rc = Resampling.estimate(spark, view, "sum",
-      s"1.0 / $ProbCol", None, b = 30, Resampling.Bootstrap)
+    val rc = Resampling.estimate(spark, view, countAll, b = 30, Resampling.Bootstrap)
     assert(math.abs(rc.estimate - TestData.li.count()) / TestData.li.count() < 0.05)
+  }
+
+  test("resampling estimates equal the per-resample weighted-sum reference") {
+    val (view, n) = sample
+    val b = 50
+    // each call's estimate as a sum weighted by the pair multiplicity `w`
+    val reference = Seq(
+      sumQty   -> ((w: String) => s"sum((l_quantity / $ProbCol) * $w)"),
+      countAll -> ((w: String) => s"sum((1.0 / $ProbCol) * $w)"),
+      avgQty   -> ((w: String) => s"sum(l_quantity * $w) / sum($w)"))
+    def est(r: Row): Double = r.getAs[Any]("est").toString.toDouble
+    for ((call, weighted) <- reference;
+         method <- Seq(Resampling.Subsampling(n, n / 50), Resampling.Bootstrap)) {
+      val full = est(spark.sql(s"SELECT ${weighted("1")} AS est FROM $view").head())
+      val ests = spark.sql(s"SELECT rid, ${weighted("mult")} AS est " +
+        s"FROM (${Resampling.relation(view, b, method)}) t GROUP BY rid").collect().map(est).toSeq
+      val want = Resampling.interval(full, method match {
+        case Resampling.Subsampling(n, ns) =>
+          val size = if (call == avgQty) 1.0 else n.toDouble / ns
+          ests.map(e => Resampling.deviation(full, ns.toDouble, n.toDouble)(e * size))
+        case Resampling.Bootstrap => ests.map(full - _)
+      })
+      val got = Resampling.estimate(spark, view, call, b, method)
+      val what = s"${call.sqlExact} by $method"
+      for ((name, g, w) <- Seq(("estimate", got.estimate, want.estimate),
+             ("stderr", got.stderr, want.stderr), ("ciLo", got.ciLo, want.ciLo),
+             ("ciHi", got.ciHi, want.ciHi)))
+        assert(math.abs(g - w) <= 1e-9 * math.abs(w), s"$what: $name $g vs $w")
+      assert(got.b == want.b, s"$what: b ${got.b} vs ${want.b}")
+    }
   }
 
   test("poissonCase draws have mean ~1 and variance ~1") {
